@@ -57,7 +57,15 @@ def _build_abacus(**params: Any) -> ButterflyEstimator:
         _SEED,
         Param("batch_size", int, 500, doc="mini-batch size M"),
         Param("num_threads", int, 4, doc="counting-phase worker count p"),
-        Param("use_thread_pool", bool, False, doc="real ThreadPoolExecutor"),
+        Param(
+            "use_thread_pool",
+            bool,
+            False,
+            doc=(
+                "count on a ThreadPoolExecutor over delta-coded sample "
+                "versions (off: serially, on the live sample)"
+            ),
+        ),
         Param("cheapest_side", bool, True, doc="side-selection heuristic"),
     ),
     description="PARABACUS: mini-batch parallel ABACUS (bit-identical)",

@@ -11,20 +11,32 @@ Two flavours are provided:
 * :func:`count_with_sample` — against a live :class:`GraphSample`
   (used by ABACUS and, with the scaling adapted, by FLEET).
 * :func:`count_with_versioned_sample` — against one version of a
-  :class:`VersionedGraphSample` (used by PARABACUS's parallel phase).
+  :class:`VersionedGraphSample` (used by PARABACUS's thread pool).
 
 Both return ``(count, work)`` where ``work`` is the number of element
 checks performed inside set intersections — the exact per-thread
-workload metric the paper plots in Figure 10.
+workload metric the paper plots in Figure 10: ``min(|N(w)|, |opposite|)``
+per anchor ``w``, the smaller set, which a hash-set intersection walks.
 
 The *cheapest-side heuristic* (line 7 of Algorithm 1) explores the
 endpoint whose sampled neighbours have the smaller cumulative sample
 degree; it can be disabled for the ablation study.
+
+Each anchor's count is one C-level ``len(N(w) & opposite)``.  The
+algorithm's two exclusions then reduce to a closed form.  Say the
+explored endpoint is ``u``.  Every anchor ``w`` neighbours ``u``, and
+``u`` sits in the opposite set ``N(v)`` exactly when the arriving edge
+``{u, v}`` is itself sampled (a deletion of a sampled edge, typically).
+Only then does the anchor set hold ``v``, which the loop skips, and
+only then does each of the other ``|anchors| - 1`` intersections count
+``u`` once too often.  So the kernel subtracts ``|anchors| - 1`` once
+when ``{u, v}`` is sampled.  :func:`count_with_mirror` relies on the
+same identity.
 """
 
 from __future__ import annotations
 
-from typing import Set, Tuple
+from typing import Callable, Set, Tuple
 
 from repro.sampling.adjacency_sample import GraphSample
 from repro.sampling.ndadjacency import NUMPY_AVAILABLE, NdAdjacency
@@ -39,6 +51,34 @@ if NUMPY_AVAILABLE:
 #: array calls.  Both kernels are exact, so the cutoff only moves work
 #: between implementations — results are identical on either side.
 VECTOR_CUTOFF = 16
+
+
+def _intersect_anchors(
+    neighbors: Callable[[Vertex], Set[Vertex]],
+    anchors: Set[Vertex],
+    opposite: Set[Vertex],
+    skip_anchor: Vertex,
+) -> Tuple[int, int]:
+    """The per-anchor intersections of Algorithm 1, lines 8-11.
+
+    ``anchors`` are the explored endpoint's neighbours, ``opposite``
+    the other endpoint's, and ``skip_anchor`` the other endpoint
+    itself; ``neighbors`` looks up an anchor's neighbour set.
+    """
+    size_opposite = len(opposite)
+    count = 0
+    work = 0
+    for w in anchors:
+        if w == skip_anchor:
+            continue
+        neighbors_w = neighbors(w)
+        size_w = len(neighbors_w)
+        work += size_w if size_w < size_opposite else size_opposite
+        count += len(neighbors_w & opposite)
+    if skip_anchor in anchors:
+        # {u, v} is sampled: see the module notes.
+        count -= len(anchors) - 1
+    return count, work
 
 
 def count_with_sample(
@@ -71,26 +111,10 @@ def count_with_sample(
     else:
         explore_u_side = True
     if explore_u_side:
-        anchors, opposite = neighbors_u, neighbors_v
-        skip_anchor, skip_common = v, u
+        anchors, opposite, skip_anchor = neighbors_u, neighbors_v, v
     else:
-        anchors, opposite = neighbors_v, neighbors_u
-        skip_anchor, skip_common = u, v
-    count = 0
-    work = 0
-    for w in anchors:
-        if w == skip_anchor:
-            continue
-        neighbors_w = sample.neighbors(w)
-        if len(neighbors_w) <= len(opposite):
-            small, large = neighbors_w, opposite
-        else:
-            small, large = opposite, neighbors_w
-        work += len(small)
-        for x in small:
-            if x != skip_common and x in large:
-                count += 1
-    return count, work
+        anchors, opposite, skip_anchor = neighbors_v, neighbors_u, u
+    return _intersect_anchors(sample.neighbors, anchors, opposite, skip_anchor)
 
 
 def count_with_mirror(
@@ -112,10 +136,10 @@ def count_with_mirror(
     * the work metric — ``min(deg(w), |opposite|)`` summed in one
       vectorized ``minimum``.
 
-    The ``x != skip_common`` exclusion of the scalar loop collapses to
-    a closed form: the explored endpoint is adjacent to every anchor by
-    construction, so it is over-counted once per anchor exactly when
-    the arriving edge itself is currently sampled.
+    The exclusions use the scalar kernel's closed form (module notes):
+    when the arriving edge itself is sampled, the opposite endpoint
+    leaves the anchor set and the explored endpoint is over-counted
+    once per remaining anchor.
 
     ``mirror`` must reflect ``sample`` (same :attr:`GraphSample.version`);
     the estimators' batch engines maintain that invariant.  Returns the
@@ -143,11 +167,6 @@ def count_with_mirror(
         anchors, opposite, skip_id = row_u, row_v, vid
     else:
         anchors, opposite, skip_id = row_v, row_u, uid
-    # The explored endpoint neighbours every anchor, so the scalar
-    # loop's skip_anchor/skip_common exclusions only ever fire when the
-    # arriving edge itself is sampled ({u, v} in S): then the opposite
-    # endpoint must leave the anchor set and the explored endpoint is
-    # over-counted once per remaining anchor.
     edge_sampled = sample.contains(u, v)
     if edge_sampled:
         anchors = anchors[anchors != skip_id]
@@ -188,23 +207,12 @@ def count_with_versioned_sample(
     else:
         explore_u_side = True
     if explore_u_side:
-        anchors, opposite = neighbors_u, neighbors_v
-        skip_anchor, skip_common = v, u
+        anchors, opposite, skip_anchor = neighbors_u, neighbors_v, v
     else:
-        anchors, opposite = neighbors_v, neighbors_u
-        skip_anchor, skip_common = u, v
-    count = 0
-    work = 0
-    for w in anchors:
-        if w == skip_anchor:
-            continue
-        neighbors_w = versioned.neighbors_at(w, version)
-        if len(neighbors_w) <= len(opposite):
-            small, large = neighbors_w, opposite
-        else:
-            small, large = opposite, neighbors_w
-        work += len(small)
-        for x in small:
-            if x != skip_common and x in large:
-                count += 1
-    return count, work
+        anchors, opposite, skip_anchor = neighbors_v, neighbors_u, u
+    return _intersect_anchors(
+        lambda w: versioned.neighbors_at(w, version),
+        anchors,
+        opposite,
+        skip_anchor,
+    )

@@ -3,21 +3,39 @@
 Processing of each mini-batch of ``M`` elements has three phases:
 
 1. **Sequential versioning** — replay the batch through Random Pairing,
-   recording per-version sample deltas and the ``(|E|, cb, cg)`` triplet
-   each element observed.  O(1) amortised work per element.
+   producing the sample version ``S_q`` and the ``(|E|, cb, cg)``
+   triplet each element ``q`` observes.  O(1) amortised work per
+   element.
 2. **Parallel per-edge counting** — partition the batch into
    ``num_threads`` contiguous chunks; each worker counts the butterflies
    its elements form with *their* sample version and multiplies by the
-   Equation 1 increment computed from the cached triplet, producing a
-   partial (signed) count.
-3. **Consolidation** — the partial counts are summed into the running
-   estimate; the live sample already sits at the post-batch state, which
-   becomes version ``S_0`` of the next batch.
+   Equation 1 increment computed from the element's triplet, producing
+   a partial (signed) count.
+3. **Consolidation** — the partial counts are summed, worker by worker,
+   into the running estimate; the live sample sits at the post-batch
+   state, which becomes version ``S_0`` of the next batch.
 
-Because phase 1 consumes randomness in exactly the order ABACUS would
-and phase 2 computes exactly ABACUS's per-element increments, PARABACUS
-produces *identical* estimates to an ABACUS driven by the same seeded
-RNG (Theorem 5) — a property the test-suite asserts.
+How phases 1 and 2 run depends on the execution mode:
+
+* **Serial** (the default): the workers run one after another, so
+  element ``q`` is counted on the live sample just before its own
+  Random Pairing update — at that moment the live sample *is* ``S_q``
+  and the sampler holds ``q``'s triplet.  Versions are evaluated in
+  arrival order and nothing is recorded: no delta log, no copied
+  neighbour set.
+* **Thread pool** (``use_thread_pool=True``): the workers read
+  different versions at the same time, so phase 1 records the batch in
+  the delta-coded :class:`~repro.sampling.versioned.VersionedGraphSample`
+  first, and each worker re-derives the neighbour sets of its versions
+  from the post-batch sample.
+
+Either way phase 1 consumes randomness in exactly the order ABACUS
+would and phase 2 computes exactly ABACUS's per-element increments, so
+PARABACUS produces *identical* estimates to an ABACUS driven by the
+same seeded RNG (Theorem 5).  Both modes sum the increments in the
+same order — per worker chunk, then across workers — so their results
+are bit-identical to each other, a property the test-suite asserts
+with ``==`` against a folded same-seed ABACUS.
 
 CPython's GIL prevents real speedup from threads for this CPU-bound
 inner loop, so besides wall-clock the implementation meters each
@@ -33,7 +51,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.base import ButterflyEstimator
-from repro.core.counting import count_with_versioned_sample
+from repro.core.counting import count_with_sample, count_with_versioned_sample
 from repro.core.probabilities import discovery_probability
 from repro.errors import EstimatorError
 from repro.sampling.random_pairing import RandomPairing
@@ -43,7 +61,7 @@ from repro.types import Op, StreamElement
 
 
 class Parabacus(ButterflyEstimator):
-    """Parallel mini-batch butterfly estimation with versioned samples.
+    """Parallel mini-batch butterfly estimation (Section V).
 
     Args:
         budget: memory budget ``k``.
@@ -51,10 +69,11 @@ class Parabacus(ButterflyEstimator):
         num_threads: worker count ``p`` for the counting phase.
         seed / rng: randomness (see :class:`~repro.core.abacus.Abacus`).
         use_thread_pool: execute phase 2 on a real
-            ``ThreadPoolExecutor``.  When False the chunks run serially
-            (bit-identical results, still fully metered) — the default
-            for benchmarks because CPython threads cannot speed up this
-            loop anyway.
+            ``ThreadPoolExecutor`` over delta-coded sample versions.
+            When False the chunks run serially, each element counted on
+            the live sample in arrival order (bit-identical results,
+            still fully metered, no version log) — the default because
+            CPython threads cannot speed up this loop anyway.
         cheapest_side: side-selection heuristic toggle (ablation).
 
     Attributes:
@@ -62,7 +81,8 @@ class Parabacus(ButterflyEstimator):
         last_batch_workloads: per-worker work of the most recent batch.
         per_thread_work: cumulative per-worker work across all batches.
         versioning_elements: elements processed by the sequential phase
-            (the O(M) cost term in Theorem 6).
+            (the O(M) cost term in Theorem 6; in serial execution the
+            phase is fused with counting).
     """
 
     name = "Parabacus"
@@ -195,27 +215,14 @@ class Parabacus(ButterflyEstimator):
         """Run the three phases on ``batch``; return the estimate delta."""
         if not batch:
             return 0.0
-        versioned = self._versioned
-        sampler = self._sampler
-
-        # Phase 1: sequential sample-version creation.
-        versioned.begin_batch()
-        for element in batch:
-            versioned.note_element_state(
-                sampler.num_live_edges, sampler.cb, sampler.cg
-            )
-            sampler.process(element)
-        versioned.end_batch()
-        self.versioning_elements += len(batch)
-
-        # Phase 2: parallel per-edge counting.
-        indexed = list(enumerate(batch))
-        chunks = partition_round_robin(indexed, self.num_threads)
-        if self._use_thread_pool and len(batch) > 1:
-            executor = self._ensure_executor()
-            results = list(executor.map(self._count_chunk, chunks))
+        if self._use_thread_pool:
+            results = self._count_versioned(batch)
         else:
-            results = [self._count_chunk(chunk) for chunk in chunks]
+            results = [
+                self._count_live_chunk(chunk)
+                for chunk in partition_round_robin(batch, self.num_threads)
+            ]
+        self.versioning_elements += len(batch)
 
         # Phase 3: consolidation.
         batch_delta = 0.0
@@ -230,10 +237,75 @@ class Parabacus(ButterflyEstimator):
         self.num_batches += 1
         return batch_delta
 
+    def _count_live_chunk(
+        self, chunk: Iterable[StreamElement]
+    ) -> Tuple[float, int]:
+        """Count one worker's share in arrival order on the live sample.
+
+        Each element is counted just before its own Random Pairing
+        update, so the live sample *is* its version ``S_q`` and the
+        sampler's ``(|E|, cb, cg)`` is its triplet.  Returns the same
+        ``(partial estimate, work)`` as :meth:`_count_chunk`, summed in
+        the same order.
+        """
+        sampler = self._sampler
+        sample = sampler.sample
+        budget = sampler.budget
+        cheapest_side = self._cheapest_side
+        partial = 0.0
+        work_done = 0
+        for element in chunk:
+            found, work = count_with_sample(
+                sample, element.u, element.v, cheapest_side
+            )
+            work_done += work
+            if found:
+                probability = discovery_probability(
+                    sampler.num_live_edges, sampler.cb, sampler.cg, budget
+                )
+                if probability <= 0.0:
+                    raise EstimatorError(
+                        "discovered a butterfly with zero discovery "
+                        "probability; sampler state is inconsistent"
+                    )
+                partial += element.op.sign * found / probability
+            sampler.process(element)
+        return partial, work_done
+
+    def _count_versioned(
+        self, batch: Sequence[StreamElement]
+    ) -> List[Tuple[float, int]]:
+        """Phases 1 and 2 on the thread pool; per-worker results.
+
+        The workers read different sample versions at the same time,
+        so the sequential phase records them in the delta-coded
+        :class:`VersionedGraphSample` first.
+        """
+        versioned = self._versioned
+        sampler = self._sampler
+
+        # Phase 1: sequential sample-version creation.
+        versioned.begin_batch()
+        for element in batch:
+            versioned.note_element_state(
+                sampler.num_live_edges, sampler.cb, sampler.cg
+            )
+            sampler.process(element)
+        versioned.end_batch()
+
+        # Phase 2: parallel per-edge counting.
+        chunks = partition_round_robin(
+            list(enumerate(batch)), self.num_threads
+        )
+        if len(batch) > 1:
+            return list(self._ensure_executor().map(self._count_chunk, chunks))
+        return [self._count_chunk(chunk) for chunk in chunks]
+
     def _count_chunk(
         self, chunk: Iterable[Tuple[int, StreamElement]]
     ) -> Tuple[float, int]:
-        """Count one worker's share; returns (partial estimate, work)."""
+        """Count one worker's share at each element's sample version;
+        returns (partial estimate, work)."""
         versioned = self._versioned
         budget = self._sampler.budget
         partial = 0.0

@@ -12,7 +12,7 @@ Contains the bounded-size sampling schemes the estimators are built on:
   edges stored as adjacency sets, supporting the set intersections at
   the heart of per-edge butterfly counting.
 * :class:`~repro.sampling.versioned.VersionedGraphSample` — delta-coded
-  sample versions for PARABACUS mini-batches.
+  sample versions for PARABACUS mini-batches on its thread pool.
 * :class:`~repro.sampling.ndadjacency.NdAdjacency` — NumPy sorted-array
   mirror of a sample, the substrate of the vectorized batch-ingest
   kernels.

@@ -4,6 +4,9 @@ PARABACUS (Section V) first replays a mini-batch of ``M`` elements
 through Random Pairing *sequentially*, producing the sample states
 ``S_0, S_1, ..., S_{M-1}`` that ABACUS would have observed, and then
 counts per-edge butterflies against the matching state in parallel.
+Only its thread pool needs the states kept side by side: serial
+execution counts each element on the live sample just before the
+element's own update, and records nothing here.
 Storing ``M`` full samples would cost O(M * k); instead, the paper keeps
 one live sample plus the per-version *discrepancies* of each vertex's
 neighbour set, bounding extra space by O(M).

@@ -102,6 +102,11 @@ WRITE_OPS = frozenset(
 #: is outrunning the writer (e.g. during a reshard pause).
 DEFAULT_MAX_PENDING_WRITES = 64
 
+#: How long :meth:`EstimatorServer.aclose` lets open connections finish
+#: the requests they already sent before it aborts them.  Only a client
+#: that stops reading its responses ever uses it up.
+SHUTDOWN_GRACE_S = 5.0
+
 #: Consistency modes a read request may carry (``docs/serving.md``).
 #: ``eventual`` answers from whatever view is published;
 #: ``read_your_writes`` additionally honours the request's
@@ -309,7 +314,8 @@ class EstimatorServer:
         self._stopping = asyncio.Event()
         self._closed = False
         self._counters: Dict[str, int] = {}
-        self._connections = 0
+        #: Open client connections: handler task -> (reader, writer).
+        self._clients: Dict["asyncio.Task[None]", tuple] = {}
         self._max_pending_writes = max_pending_writes
         self._write_slots = asyncio.Semaphore(max_pending_writes)
         self._backpressure = 0
@@ -586,7 +592,8 @@ class EstimatorServer:
             await self.aclose()
 
     async def aclose(self) -> None:
-        """Stop accepting, drain the writer, close the session."""
+        """Stop accepting, end the connections, drain the writer, close
+        the session."""
         if self._closed:
             return
         self._closed = True
@@ -597,6 +604,9 @@ class EstimatorServer:
             except asyncio.CancelledError:
                 pass
             self._autoscale_task = None
+        if self._server is not None:
+            self._server.close()
+        await self._end_connections()
         if self._drain_task is not None:
             self._drain_task.cancel()
             try:
@@ -607,7 +617,6 @@ class EstimatorServer:
         for key in list(self._lanes):
             self._retire_lane(key)
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
             self._server = None
         # Run the (possibly busy) writer dry, then close the session
@@ -616,6 +625,30 @@ class EstimatorServer:
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(self._writer_pool, self._close_owned)
         self._writer_pool.shutdown(wait=True)
+
+    async def _end_connections(self) -> None:
+        """Let every open connection finish and its handler return.
+
+        Each connection stops reading from its socket and sees end of
+        stream once the requests it already received are served, so an
+        idle client is closed at once and a request in flight still
+        gets its response.  Connections that have not ended after
+        :data:`SHUTDOWN_GRACE_S` are aborted.  Ending the handlers here,
+        rather than leaving ``asyncio.run`` to cancel them, keeps the
+        loop's teardown free of cancelled-handler tracebacks.
+        """
+        if not self._clients:
+            return
+        for reader, writer in self._clients.values():
+            writer.transport.pause_reading()
+            reader.feed_eof()
+        _, late = await asyncio.wait(
+            list(self._clients), timeout=SHUTDOWN_GRACE_S
+        )
+        if late:
+            for _, writer in self._clients.values():
+                writer.transport.abort()
+            await asyncio.wait(late)
 
     def _close_owned(self) -> None:
         """Close the owned session and catalog (writer thread)."""
@@ -671,7 +704,11 @@ class EstimatorServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        self._connections += 1
+        if self._closed:
+            writer.close()
+            return
+        task = asyncio.current_task()
+        self._clients[task] = (reader, writer)
         try:
             while True:
                 try:
@@ -695,7 +732,7 @@ class EstimatorServer:
         except (ConnectionResetError, BrokenPipeError):
             return
         finally:
-            self._connections -= 1
+            del self._clients[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -861,7 +898,7 @@ class EstimatorServer:
             "durability": (
                 session.durability if session is not None else None
             ),
-            "connections": self._connections,
+            "connections": len(self._clients),
             "operations": dict(self._counters),
             "backpressure": self._backpressure,
             "max_pending_writes": self._max_pending_writes,

@@ -7,6 +7,8 @@ edge would close — which we verify against the exact per-edge counter.
 
 import random
 
+import pytest
+
 from repro.core.counting import count_with_sample, count_with_versioned_sample
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.butterflies import butterflies_containing_edge
@@ -14,6 +16,7 @@ from repro.graph.generators import bipartite_erdos_renyi
 from repro.sampling.adjacency_sample import GraphSample
 from repro.sampling.random_pairing import RandomPairing
 from repro.sampling.versioned import VersionedGraphSample
+from repro.streams.dynamic import make_fully_dynamic
 from repro.types import insertion
 
 
@@ -123,3 +126,122 @@ class TestVersionedCounting:
         # But at version 3 the three other edges exist.
         count3, _ = count_with_versioned_sample(versioned, 3, 1, 11)
         assert count3 == 1
+
+
+def _reference_count(sample, u, v, cheapest_side=True):
+    """Algorithm 1, lines 7-11, as a literal per-anchor Python loop.
+
+    Every anchor's intersection walks the smaller set and skips the
+    explored endpoint itself; the kernels under test must return this
+    ``(count, work)`` exactly.
+    """
+    neighbors_u = sample.neighbors(u)
+    neighbors_v = sample.neighbors(v)
+    if not neighbors_u or not neighbors_v:
+        return 0, 0
+    if cheapest_side:
+        cumulative_u = sample.degree_sum(neighbors_u)
+        cumulative_v = sample.degree_sum(neighbors_v)
+        explore_u_side = cumulative_u < cumulative_v
+    else:
+        explore_u_side = True
+    if explore_u_side:
+        anchors, opposite = neighbors_u, neighbors_v
+        skip_anchor, skip_common = v, u
+    else:
+        anchors, opposite = neighbors_v, neighbors_u
+        skip_anchor, skip_common = u, v
+    count = 0
+    work = 0
+    for w in anchors:
+        if w == skip_anchor:
+            continue
+        neighbors_w = sample.neighbors(w)
+        if len(neighbors_w) <= len(opposite):
+            small, large = neighbors_w, opposite
+        else:
+            small, large = opposite, neighbors_w
+        work += len(small)
+        for x in small:
+            if x != skip_common and x in large:
+                count += 1
+    return count, work
+
+
+def _queries(sample, n_left, n_right, rng, count):
+    """Arriving edges: sampled ones, unsampled ones and ones touching
+    vertices outside the sample."""
+    sampled = list(sample.edges())
+    queries = rng.sample(sampled, min(count, len(sampled)))
+    while len(queries) < 2 * count:
+        # Left ids -2 and -1 and the last two right ids are unsampled.
+        u = rng.randrange(-2, n_left)
+        v = n_left + rng.randrange(n_right + 2)
+        if not sample.contains(u, v):
+            queries.append((u, v))
+    return queries
+
+
+class TestScalarKernelOracle:
+    """The C-level intersection kernel against the literal loop; needs
+    no NumPy, so every CI leg pins ``work`` as well as the count."""
+
+    @pytest.mark.parametrize("cheapest_side", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_live_kernel_matches_loop(self, cheapest_side, seed):
+        rng = random.Random(seed)
+        n_left, n_right = 14 + seed, 10 + 2 * seed
+        sample = _sample_from_edges(
+            bipartite_erdos_renyi(n_left, n_right, 40 + 25 * seed, rng)
+        )
+        sampled_hits = 0
+        for u, v in _queries(sample, n_left, n_right, rng, 60):
+            expected = _reference_count(sample, u, v, cheapest_side)
+            got = count_with_sample(sample, u, v, cheapest_side)
+            assert got == expected, (u, v)
+            if sample.contains(u, v) and expected[0] > 0:
+                sampled_hits += 1
+        # The closed-form correction for sampled edges is exercised.
+        assert sampled_hits > 0
+
+    @pytest.mark.parametrize("cheapest_side", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_versioned_kernel_matches_loop(self, cheapest_side, seed):
+        rng = random.Random(100 + seed)
+        n_left, n_right = 16, 12
+        sample = GraphSample()
+        versioned = VersionedGraphSample(sample)
+        sampler = RandomPairing(60, random.Random(seed), sample=sample)
+        stream = make_fully_dynamic(
+            bipartite_erdos_renyi(n_left, n_right, 120, rng),
+            0.3,
+            random.Random(seed),
+        )
+        snapshots = []
+        versioned.begin_batch()
+        for element in stream:
+            snapshots.append(_sample_from_edges(sample.edges()))
+            versioned.note_element_state(
+                sampler.num_live_edges, sampler.cb, sampler.cg
+            )
+            sampler.process(element)
+        versioned.end_batch()
+        final = versioned.num_versions
+        assert final == len(stream)
+        queries = _queries(sample, n_left, n_right, rng, 40)
+        for u, v in queries:
+            expected = _reference_count(sample, u, v, cheapest_side)
+            assert count_with_sample(sample, u, v, cheapest_side) == expected
+            got = count_with_versioned_sample(
+                versioned, final, u, v, cheapest_side
+            )
+            assert got == expected, (u, v)
+        # Earlier versions against the sample as it stood then.
+        for version in rng.sample(range(final), 20):
+            past = snapshots[version]
+            for u, v in queries[:20] + _queries(past, n_left, n_right, rng, 5):
+                expected = _reference_count(past, u, v, cheapest_side)
+                got = count_with_versioned_sample(
+                    versioned, version, u, v, cheapest_side
+                )
+                assert got == expected, (version, u, v)

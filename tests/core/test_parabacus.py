@@ -1,6 +1,8 @@
 """Unit tests for PARABACUS — above all, Theorem 5's exact equivalence
 with ABACUS under a shared RNG seed."""
 
+import math
+
 import pytest
 
 from repro.core.abacus import Abacus
@@ -72,6 +74,105 @@ class TestTheorem5Equivalence:
             para.sampler.cb,
             para.sampler.cg,
         )
+
+
+def _abacus_fold(stream, budget, seed, batch_size, num_threads):
+    """What PARABACUS must report, derived from a same-seed ABACUS.
+
+    ABACUS's per-element increments and work are folded the way
+    PARABACUS sums them: per mini-batch, per contiguous worker chunk
+    (sized as ``partition_round_robin`` cuts it), then across workers.
+    """
+    abacus = Abacus(budget, seed=seed)
+    estimate = 0.0
+    per_thread_work = [0] * num_threads
+    last_batch_workloads = []
+    for offset in range(0, len(stream), batch_size):
+        batch = stream[offset : offset + batch_size]
+        base, extra = divmod(len(batch), num_threads)
+        elements = iter(batch)
+        batch_delta = 0.0
+        last_batch_workloads = []
+        for worker in range(num_threads):
+            partial = 0.0
+            work = 0
+            for _ in range(base + (1 if worker < extra else 0)):
+                before = abacus.total_work
+                delta = abacus.process(next(elements))
+                work += abacus.total_work - before
+                if delta:
+                    partial += delta
+            batch_delta += partial
+            per_thread_work[worker] += work
+            last_batch_workloads.append(work)
+        estimate += batch_delta
+    return abacus, estimate, per_thread_work, last_batch_workloads
+
+
+class TestTheorem5ExactFold:
+    """Bit-for-bit Theorem 5: ``==``, not a float tolerance, so a change
+    in summation order fails here."""
+
+    #: Not a multiple of 7 or 500, so the last mini-batch is a short
+    #: one that only ``flush()`` runs.
+    LENGTH = 2003
+
+    @pytest.mark.parametrize("use_thread_pool", [False, True])
+    @pytest.mark.parametrize(
+        "batch_size, num_threads",
+        [(1, 1), (1, 4), (7, 3), (7, 16), (500, 2), (500, 7)],
+    )
+    def test_equals_folded_abacus(
+        self, dynamic_stream, use_thread_pool, batch_size, num_threads
+    ):
+        assert len(dynamic_stream) > self.LENGTH
+        stream = dynamic_stream[: self.LENGTH]
+        abacus, estimate, per_thread, last = _abacus_fold(
+            stream, 250, 21, batch_size, num_threads
+        )
+        with Parabacus(
+            250,
+            batch_size=batch_size,
+            num_threads=num_threads,
+            seed=21,
+            use_thread_pool=use_thread_pool,
+        ) as para:
+            for element in stream[:300]:
+                para.process(element)
+            para.process_batch(stream[300:])
+            para.flush()
+        assert para.num_batches == math.ceil(self.LENGTH / batch_size)
+        assert para.estimate == estimate
+        assert para.sampler.state_to_dict() == abacus.sampler.state_to_dict()
+        assert para.total_work == abacus.total_work
+        assert para.per_thread_work == per_thread
+        assert para.last_batch_workloads == last
+
+
+class TestSampleVersions:
+    """Serial execution counts on the live sample and keeps no
+    per-version delta log; only the thread pool records versions."""
+
+    def test_serial_batches_record_no_deltas(self, dynamic_stream):
+        para = Parabacus(250, batch_size=64, num_threads=4, seed=3)
+        sample = para.sampler.sample
+        for offset in range(0, len(dynamic_stream), 64):
+            version = sample.version
+            para.process_batch(dynamic_stream[offset : offset + 64])
+            para.flush()
+            assert sample.version > version  # the sample churned
+            assert para._versioned.delta_count() == 0
+            assert para._versioned.num_versions == 0
+            assert sample.recorder is None
+
+    def test_thread_pool_records_deltas(self, dynamic_stream):
+        with Parabacus(
+            250, batch_size=64, num_threads=4, seed=3, use_thread_pool=True
+        ) as para:
+            para.process_batch(dynamic_stream[:64])
+            assert para._versioned.num_versions == 64
+            assert para._versioned.delta_count() > 0
+            assert para.sampler.sample.recorder is None
 
 
 class TestBatchMechanics:
