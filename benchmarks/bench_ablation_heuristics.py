@@ -1,9 +1,12 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of Algorithm 1's design choices (docs/paper_map.md).
 
 (a) cheapest-side heuristic (Algorithm 1, line 7): estimates identical,
     intersection work should not increase (and typically drops);
 (b) naive increment (ignoring the compensation counters in Equation 1):
     a deletion-unaware weighting that skews the estimate.
+
+The table also shows each variant's mean wall time per trial, reported
+only: host speed varies too much for a timing assertion.
 """
 
 from conftest import emit

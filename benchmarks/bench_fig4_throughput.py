@@ -2,9 +2,10 @@
 
 Five series per dataset, as in the paper: PARABACUS (Ins+Del), ABACUS
 (Ins+Del), ABACUS (Ins-only), FLEET (Ins-only), CAS (Ins-only); plus
-PARABACUS's work-model throughput (DESIGN.md substitution #2 — CPython
-threads cannot realise parallel wall-clock gains, so the modeled column
-is the one comparable to the paper's 40-thread Java numbers).
+PARABACUS's work-model throughput (docs/paper_map.md, substitution #2:
+CPython threads cannot realise parallel wall-clock gains, so the
+modeled column is the one comparable to the paper's 40-thread Java
+numbers).
 
 Expected shape: single-thread ABACUS ~ FLEET; CAS trails where sketch
 updates dominate; modeled PARABACUS far ahead.

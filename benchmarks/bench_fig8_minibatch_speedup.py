@@ -1,7 +1,8 @@
 """Figure 8: PARABACUS speedup vs mini-batch size (all threads).
 
-Work-model speedup (DESIGN.md substitution #2) for M in {100, 500, 1000,
-5000, 10000} with 40 workers and all three budgets per dataset.
+Work-model speedup (docs/paper_map.md, substitution #2) for M in {100,
+500, 1000, 5000, 10000} with 40 workers and all three budgets per
+dataset.
 Expected shape: speedup grows with M (more work per parallel phase
 amortises the sequential versioning) and is largest on the densest
 graph (MovieLens-like) and the largest budget.

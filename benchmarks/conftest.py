@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark suite.
 
 The benchmarks regenerate every table and figure of the paper's
-evaluation on the scaled synthetic analogues (see DESIGN.md).  Each
-bench uses ``benchmark.pedantic(..., rounds=1)`` so the experiment runs
-exactly once while still being timed, writes its rendered report to
-``benchmarks/results/``, and echoes it to stdout (visible with ``-s``).
+evaluation on the scaled synthetic analogues (see docs/paper_map.md,
+substitution #1).  Each bench uses ``benchmark.pedantic(...,
+rounds=1)`` so the experiment runs exactly once while still being
+timed, writes its rendered report to ``benchmarks/results/``, and
+echoes it to stdout (visible with ``-s``).
 
 A single session-scoped :class:`ExperimentContext` is shared by all
 benches so streams and ground truths are computed once.

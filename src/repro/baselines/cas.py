@@ -5,7 +5,8 @@ Butterflies in Large Bipartite Graph Streams" (TKDE 2022), configured as
 in the paper under reproduction: the best variant CAS-R with a fraction
 ``lambda = 0.33`` of the memory budget devoted to the sketch.
 
-Design (see DESIGN.md substitution #3 for the fidelity argument):
+Design (see docs/paper_map.md, substitution #3, for the fidelity
+argument):
 
 * A classic edge reservoir holds ``(1 - lambda) * k`` edges.
 * Every arriving edge ``(u, v)`` *discovers* left-side co-affiliation
@@ -105,6 +106,8 @@ class CoAffiliationSampling(ButterflyEstimator):
             width=width, depth=sketch_depth, rng=self._rng
         )
         self._sample = GraphSample()
+        # Nothing here reads the sample's cheapest-side weights.
+        self._sample.keep_weights(False)
         self._estimate = 0.0
         self._edges_seen = 0
         self.total_work = 0

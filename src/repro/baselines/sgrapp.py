@@ -8,7 +8,7 @@ densification power law" (BDPL) — empirically, the cumulative butterfly
 count grows as a power ``c * |E|^gamma`` of the edge count.
 
 This reimplementation keeps that architecture in a deliberately simple
-form (see DESIGN.md substitution notes):
+form (see docs/paper_map.md, substitution #4):
 
 * The stream is consumed in windows of ``window`` insertions; a graph of
   only the *current* window's edges is kept, and the butterflies closed

@@ -79,6 +79,8 @@ class Abacus(ButterflyEstimator):
         if rng is None:
             rng = random.Random(seed)
         self._sampler = RandomPairing(budget, rng)
+        # Only the side test reads the sample's stored weights.
+        self._sampler.sample.keep_weights(cheapest_side)
         self._estimate = 0.0
         self._cheapest_side = cheapest_side
         self._naive_increment = naive_increment
@@ -157,7 +159,10 @@ class Abacus(ButterflyEstimator):
         batch starts with a density check: below the vectorization
         cutoff the batch runs as a tight scalar loop with no mirror
         maintenance at all (the mirror resyncs by version when density
-        returns).  Either way every observable effect — estimate,
+        returns).  While the mirror is engaged the sample stops keeping
+        its cheapest-side weights, and rebuilds them once the gate drops
+        the mirror (:meth:`~repro.sampling.adjacency_sample.GraphSample
+        .keep_weights`).  Either way every observable effect — estimate,
         sampler state, RNG draws, work counters — is identical to the
         per-element path.  Without NumPy this falls back to the
         base-class element loop.
@@ -174,13 +179,16 @@ class Abacus(ButterflyEstimator):
             num_vertices > 0
             and 2 * sample.num_edges >= VECTOR_CUTOFF * num_vertices
         )
+        cheapest_side = self._cheapest_side
+        # The mirror keeps its own degree array, so while it is engaged
+        # the sample's cheapest-side weights would be upkeep for nothing.
+        sample.keep_weights(cheapest_side and not use_mirror)
         mirror = None
         if use_mirror:
             mirror = self._mirror
             if mirror is None:
                 mirror = self._mirror = NdAdjacency()
             mirror.sync(sample)
-        cheapest_side = self._cheapest_side
         naive = self._naive_increment
         budget = sampler.budget
         estimate = self._estimate

@@ -20,7 +20,14 @@ per anchor ``w``, the smaller set, which a hash-set intersection walks.
 
 The *cheapest-side heuristic* (line 7 of Algorithm 1) explores the
 endpoint whose sampled neighbours have the smaller cumulative sample
-degree; it can be disabled for the ablation study.
+degree; it can be disabled for the ablation study.  Against a live
+sample the two sums are read in O(1) from the neighbour sets, where
+:class:`~repro.sampling.adjacency_sample.GraphSample` keeps them
+current.  While that upkeep is off (for one, ABACUS's batch path turns
+it off while the NumPy mirror is engaged) they are summed with
+:meth:`~repro.sampling.adjacency_sample.GraphSample.degree_sum`.
+:func:`u_side_cheaper` makes that choice for the estimators with their
+own discovery loops; :func:`count_with_sample` makes it inline.
 
 Each anchor's count is one C-level ``len(N(w) & opposite)``.  The
 algorithm's two exclusions then reduce to a closed form.  Say the
@@ -81,6 +88,22 @@ def _intersect_anchors(
     return count, work
 
 
+def u_side_cheaper(
+    sample: GraphSample,
+    neighbors_u: Set[Vertex],
+    neighbors_v: Set[Vertex],
+) -> bool:
+    """Line 7 of Algorithm 1: whether ``u``'s side is the one to explore.
+
+    ``neighbors_u`` and ``neighbors_v`` are the endpoints' non-empty
+    neighbour sets in ``sample``.  True when ``u``'s sampled neighbours
+    have the smaller cumulative sample degree.
+    """
+    if sample.weights_live:
+        return neighbors_u.weight < neighbors_v.weight
+    return sample.degree_sum(neighbors_u) < sample.degree_sum(neighbors_v)
+
+
 def count_with_sample(
     sample: GraphSample,
     u: Vertex,
@@ -104,12 +127,14 @@ def count_with_sample(
     neighbors_v = sample.neighbors(v)
     if not neighbors_u or not neighbors_v:
         return 0, 0
-    if cheapest_side:
-        cumulative_u = sample.degree_sum(neighbors_u)
-        cumulative_v = sample.degree_sum(neighbors_v)
-        explore_u_side = cumulative_u < cumulative_v
-    else:
+    # u_side_cheaper(), inlined: this runs once per stream element.
+    if not cheapest_side:
         explore_u_side = True
+    elif sample.weights_live:
+        explore_u_side = neighbors_u.weight < neighbors_v.weight
+    else:
+        degree_sum = sample.degree_sum
+        explore_u_side = degree_sum(neighbors_u) < degree_sum(neighbors_v)
     if explore_u_side:
         anchors, opposite, skip_anchor = neighbors_u, neighbors_v, v
     else:

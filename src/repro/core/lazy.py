@@ -80,6 +80,10 @@ class LazyAbacus(ButterflyEstimator):
             raise SamplingError(f"memory budget must be >= 2, got {budget}")
         self.budget = budget
         self.sample = GraphSample()
+        # Counting only on sample transitions, this reads the side test
+        # about once per mutation, so summing degrees there is cheaper
+        # than keeping the sample's cheapest-side weights.
+        self.sample.keep_weights(False)
         self.num_live_edges = 0
         self.cb = 0
         self.cg = 0

@@ -21,6 +21,7 @@ import random
 from typing import Dict, Iterable, Optional, Set
 
 from repro.core.base import ButterflyEstimator
+from repro.core.counting import u_side_cheaper
 from repro.core.probabilities import discovery_probability
 from repro.errors import EstimatorError
 from repro.sampling.random_pairing import RandomPairing
@@ -115,7 +116,7 @@ class AbacusLocal(ButterflyEstimator):
         neighbors_v = sample.neighbors(v)
         delta = 0.0
         if neighbors_u and neighbors_v:
-            if sample.degree_sum(neighbors_u) < sample.degree_sum(neighbors_v):
+            if u_side_cheaper(sample, neighbors_u, neighbors_v):
                 anchors, opposite = neighbors_u, neighbors_v
                 skip_anchor, skip_common = v, u
             else:

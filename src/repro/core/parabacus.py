@@ -41,7 +41,7 @@ CPython's GIL prevents real speedup from threads for this CPU-bound
 inner loop, so besides wall-clock the implementation meters each
 worker's *workload* (set-intersection element checks, the paper's
 Fig. 10 metric) and exposes the deterministic work-model speedup used by
-the Figure 8/9 benchmarks; see DESIGN.md substitution #2.
+the Figure 8/9 benchmarks; see docs/paper_map.md, substitution #2.
 """
 
 from __future__ import annotations
@@ -111,6 +111,11 @@ class Parabacus(ButterflyEstimator):
         self.batch_size = batch_size
         self.num_threads = num_threads
         self._sampler = RandomPairing(budget, rng)
+        # Only the serial path's side test reads the sample's stored
+        # weights; the thread pool sums degrees at each version.
+        self._sampler.sample.keep_weights(
+            cheapest_side and not use_thread_pool
+        )
         self._versioned = VersionedGraphSample(self._sampler.sample)
         self._estimate = 0.0
         self._cheapest_side = cheapest_side
@@ -389,7 +394,7 @@ class Parabacus(ButterflyEstimator):
         return estimator
 
     # ------------------------------------------------------------------
-    # Work-model speedup (DESIGN.md substitution #2)
+    # Work-model speedup (docs/paper_map.md, substitution #2)
     # ------------------------------------------------------------------
     def modeled_speedup(
         self,

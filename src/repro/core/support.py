@@ -26,6 +26,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.base import ButterflyEstimator
+from repro.core.counting import u_side_cheaper
 from repro.core.probabilities import discovery_probability
 from repro.errors import EstimatorError
 from repro.sampling.random_pairing import RandomPairing
@@ -132,9 +133,7 @@ class AbacusSupport(ButterflyEstimator):
         neighbors_v = sample.neighbors(v)
         delta = 0.0
         if neighbors_u and neighbors_v:
-            if sample.degree_sum(neighbors_u) < sample.degree_sum(
-                neighbors_v
-            ):
+            if u_side_cheaper(sample, neighbors_u, neighbors_v):
                 # Anchors are sampled neighbours of u: right vertices.
                 anchors, opposite = neighbors_u, neighbors_v
                 anchors_of_u = True

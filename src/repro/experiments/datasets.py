@@ -3,8 +3,8 @@
 The paper evaluates on MovieLens (10M edges), LiveJournal (112M),
 Trackers (140.6M), and Orkut (327M) from KONECT.  None of these is
 available offline, and a pure-Python reproduction processes streams
-about three orders of magnitude smaller; DESIGN.md substitution #1
-explains the scaling argument.
+about three orders of magnitude smaller; docs/paper_map.md,
+substitution #1, explains the scaling argument.
 
 Each analogue is a Chung–Lu power-law bipartite graph whose shape
 parameters were tuned so that the *butterfly-density ordering* of

@@ -2,8 +2,8 @@
 
 Each ``run_*`` function executes one of the paper's experiments on the
 scaled synthetic analogues and returns a result dict with a rendered
-``text`` report plus the structured series, so benchmarks, the CLI, and
-EXPERIMENTS.md generation all share one implementation.
+``text`` report plus the structured series, so the benchmarks and the
+CLI share one implementation.
 
 Runtime is controlled by two knobs every function accepts:
 
@@ -172,7 +172,7 @@ def run_throughput_vs_sample_size(
 
     Matches Figure 4's five bars: PARABACUS (Ins+Del), ABACUS (Ins+Del),
     ABACUS (Ins-only), FLEET (Ins-only), CAS (Ins-only).  PARABACUS
-    additionally reports its work-model throughput (DESIGN.md
+    additionally reports its work-model throughput (docs/paper_map.md,
     substitution #2) since CPython threads serialise the real clock.
     """
     ctx = context or ExperimentContext()
@@ -598,11 +598,13 @@ def run_ablation_heuristics(
     trials: int = 3,
     context: Optional[ExperimentContext] = None,
 ) -> Dict:
-    """Ablations called out in DESIGN.md.
+    """Ablations of Algorithm 1's design choices (docs/paper_map.md).
 
     (a) cheapest-side heuristic: identical estimates, less intersection
         work; (b) naive increment (ignoring cb/cg in Equation 1):
-        biased under deletions.
+        biased under deletions.  Each variant also reports its mean
+        wall time per trial, so the work saving can be read against
+        what the side test itself costs.
     """
     ctx = context or ExperimentContext()
     rows = []
@@ -615,50 +617,60 @@ def run_ablation_heuristics(
         stream = ctx.stream(spec, alpha, 0)
         truth = ctx.truth(spec, alpha, 0)
 
-        def _mean_error_and_work(**kwargs):
+        def _measure(**kwargs):
             errors = []
             work = 0
+            watch = Stopwatch()
             for trial in range(trials):
                 estimator = _estimator(
-                    "abacus", budget=budget,
-                    seed=spec.base_seed + 31 * trial, **kwargs
+                    "abacus",
+                    budget=budget,
+                    seed=spec.base_seed + 31 * trial,
+                    **kwargs,
                 )
-                estimate = estimator.process_stream(
-                    ctx.stream(spec, alpha, trial)
-                )
+                trial_stream = ctx.stream(spec, alpha, trial)
+                watch.start()
+                estimate = estimator.process_stream(trial_stream)
+                watch.stop()
                 t = ctx.truth(spec, alpha, trial)
                 errors.append(abs(t - estimate) / t)
                 work += estimator.total_work
-            return sum(errors) / len(errors), work // trials
+            return {
+                "error": sum(errors) / len(errors),
+                "work": work // trials,
+                "seconds": watch.elapsed / trials,
+            }
 
-        base_err, base_work = _mean_error_and_work()
-        no_heur_err, no_heur_work = _mean_error_and_work(cheapest_side=False)
-        naive_err, naive_work = _mean_error_and_work(naive_increment=True)
-        results[name] = {
-            "default": {"error": base_err, "work": base_work},
-            "no_cheapest_side": {"error": no_heur_err, "work": no_heur_work},
-            "naive_increment": {"error": naive_err, "work": naive_work},
+        variants = {
+            "default": _measure(),
+            "no_cheapest_side": _measure(cheapest_side=False),
+            "naive_increment": _measure(naive_increment=True),
         }
-        rows.extend(
-            [
-                (spec.paper_name, "default", f"{base_err:.2%}", base_work),
+        results[name] = variants
+        for key, label in (
+            ("default", "default"),
+            ("no_cheapest_side", "no cheapest-side"),
+            ("naive_increment", "naive increment"),
+        ):
+            measured = variants[key]
+            rows.append(
                 (
                     spec.paper_name,
-                    "no cheapest-side",
-                    f"{no_heur_err:.2%}",
-                    no_heur_work,
-                ),
-                (
-                    spec.paper_name,
-                    "naive increment",
-                    f"{naive_err:.2%}",
-                    naive_work,
-                ),
-            ]
-        )
+                    label,
+                    f"{measured['error']:.2%}",
+                    measured["work"],
+                    f"{measured['seconds']:.3f}",
+                )
+            )
         del stream, truth
     text = render_table(
-        ["Graph", "Variant", "Mean rel. error", "Avg intersection work"],
+        [
+            "Graph",
+            "Variant",
+            "Mean rel. error",
+            "Avg intersection work",
+            "Mean seconds",
+        ],
         rows,
         title="Ablation: side-selection heuristic and Equation 1 refinement",
     )

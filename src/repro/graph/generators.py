@@ -5,7 +5,7 @@ and far too large for a pure-Python reproduction (up to 327M edges).
 These generators produce scaled-down *analogues* whose degree skew and
 butterfly density can be tuned to match the orderings in Table II; see
 ``repro/experiments/datasets.py`` for the concrete configurations and
-DESIGN.md for the substitution rationale.
+docs/paper_map.md, substitution #1, for the rationale.
 
 All generators are deterministic given a seeded ``random.Random``.
 Vertex identifiers are integers: left vertices ``0..n_left-1`` and right

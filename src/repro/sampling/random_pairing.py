@@ -254,16 +254,22 @@ class RandomPairing:
         """Load :meth:`state_to_dict` output into this (fresh) sampler.
 
         The sampler must still hold an empty sample; the captured edges
-        are replayed into it.  The budget is not changed — construct
-        the sampler with ``state["budget"]`` first.
+        are replayed into it with the sample's weight upkeep paused,
+        which costs O(|S|) in all rather than O(d(u) + d(v)) per edge.
+        The budget is not changed — construct the sampler with
+        ``state["budget"]`` first.
         """
         raw_version, raw_internal, raw_gauss = state["rng_state"]
         self.set_rng_state((raw_version, tuple(raw_internal), raw_gauss))
         self.num_live_edges = state["num_live_edges"]
         self.cb = state["cb"]
         self.cg = state["cg"]
+        sample = self.sample
+        weights_live = sample.weights_live
+        sample.keep_weights(False)
         for u, v in state["sample_edges"]:
-            self.sample.add_edge(u, v)
+            sample.add_edge(u, v)
+        sample.keep_weights(weights_live)
 
     # ------------------------------------------------------------------
     # Estimator-facing state

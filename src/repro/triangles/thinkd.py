@@ -56,6 +56,8 @@ class ThinkD(ButterflyEstimator):
         if rng is None:
             rng = random.Random(seed)
         self._sampler = RandomPairing(budget, rng)
+        # Nothing here reads the sample's cheapest-side weights.
+        self._sampler.sample.keep_weights(False)
         self._estimate = 0.0
         self.total_work = 0
         self.elements_processed = 0

@@ -76,6 +76,8 @@ class TriestFD(ButterflyEstimator):
             raise SamplingError(f"memory budget must be >= 2, got {budget}")
         self.budget = budget
         self.sample = GraphSample()
+        # Nothing here reads the sample's cheapest-side weights.
+        self.sample.keep_weights(False)
         self.num_live_edges = 0
         self.cb = 0
         self.cg = 0

@@ -68,6 +68,16 @@ class StreamElement:
     v: Vertex
     op: Op = Op.INSERT
 
+    def __init__(self, u: Vertex, v: Vertex, op: Op = Op.INSERT) -> None:
+        # Hand-written: the generated frozen __init__ stores each field
+        # through object.__setattr__, while the slot descriptors' own
+        # __set__ (bound below the class) is cheaper and just as
+        # exempt from the frozen __setattr__.  Elements are built once
+        # per stream record, on the wire and in recovery.
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_op(self, op)
+
     @property
     def edge(self) -> Edge:
         """The edge as a canonical ``(left, right)`` tuple."""
@@ -128,6 +138,14 @@ class StreamElement:
         >>> type(element).__name__, element.time
         ('TimedEdge', 2.5)
         """
+        # The common [op, u, v] list from JSON first; every other shape
+        # falls through to the checks below.
+        if type(record) is list and len(record) == 3:
+            symbol = record[0]
+            if symbol == "+":
+                return StreamElement(record[1], record[2], Op.INSERT)
+            if symbol == "-":
+                return StreamElement(record[1], record[2], Op.DELETE)
         if not isinstance(record, (list, tuple)) or len(record) not in (
             3,
             4,
@@ -149,6 +167,11 @@ class StreamElement:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.u}, {self.v}, {self.op.value})"
+
+
+_set_u = StreamElement.u.__set__  # type: ignore[attr-defined]
+_set_v = StreamElement.v.__set__  # type: ignore[attr-defined]
+_set_op = StreamElement.op.__set__  # type: ignore[attr-defined]
 
 
 def insertion(u: Vertex, v: Vertex) -> StreamElement:
@@ -183,6 +206,19 @@ class TimedEdge(StreamElement):
 
     time: float = 0.0
 
+    def __init__(
+        self,
+        u: Vertex,
+        v: Vertex,
+        op: Op = Op.INSERT,
+        time: float = 0.0,
+    ) -> None:
+        # See StreamElement.__init__.
+        _set_u(self, u)
+        _set_v(self, v)
+        _set_op(self, op)
+        _set_time(self, time)
+
     def inverted(self) -> "TimedEdge":
         """The element that undoes this one, at the same timestamp."""
         flipped = Op.DELETE if self.op is Op.INSERT else Op.INSERT
@@ -198,6 +234,9 @@ class TimedEdge(StreamElement):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.u}, {self.v}, {self.op.value}, t={self.time})"
+
+
+_set_time = TimedEdge.time.__set__  # type: ignore[attr-defined]
 
 
 def timed_insertion(u: Vertex, v: Vertex, time: float) -> TimedEdge:

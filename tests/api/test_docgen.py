@@ -85,5 +85,32 @@ class TestLinkChecker:
                 (str(path.relative_to(REPO_ROOT)), kind, ref)
                 for kind, ref in module.check_file(path)
             ]
+        for path in module._python_files():
+            problems += [
+                (str(path.relative_to(REPO_ROOT)), kind, ref)
+                for kind, ref in module.check_python_file(path)
+            ]
         assert problems == []
+        sys.modules.pop("check_links", None)
+
+    def test_python_files_citing_missing_documents_are_flagged(
+        self, tmp_path
+    ):
+        import importlib.util
+        import sys
+
+        spec = importlib.util.spec_from_file_location(
+            "check_links", REPO_ROOT / "tools" / "check_links.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        source = tmp_path / "cites.py"
+        source.write_text(
+            '"""See DESIGN.md substitution #2 and docs/paper_map.md."""\n'
+            "# *.md globs and https://example.org/x.md are not names.\n",
+            encoding="utf-8",
+        )
+        assert module.check_python_file(source) == [
+            ("missing document", "DESIGN.md")
+        ]
         sys.modules.pop("check_links", None)

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from repro import open_session
 from repro.core.abacus import Abacus
 from repro.errors import SamplingError
 from repro.experiments.runner import ground_truth_final_count
 from repro.graph.generators import bipartite_chung_lu
+from repro.sampling.ndadjacency import NUMPY_AVAILABLE
 from repro.streams.dynamic import make_fully_dynamic, stream_from_edges
 from repro.types import deletion, insertion
 
@@ -114,6 +116,16 @@ class TestAblations:
         e2 = a2.process_stream(dynamic_stream)
         assert e1 == pytest.approx(e2)
 
+    def test_no_weight_upkeep_without_the_side_test(self, dynamic_stream):
+        estimator = Abacus(300, seed=1, cheapest_side=False)
+        estimator.process_batch(dynamic_stream[:500])
+        for element in dynamic_stream[500:600]:
+            estimator.process(element)
+        assert not estimator.sampler.sample.weights_live
+        restored = Abacus.from_state_dict(estimator.state_to_dict())
+        assert not restored.sampler.sample.weights_live
+        assert Abacus(300, seed=1).sampler.sample.weights_live
+
     def test_naive_increment_differs_under_deletions(self):
         rng = random.Random(80)
         edges = bipartite_chung_lu(300, 100, 3000, rng=rng)
@@ -165,3 +177,44 @@ class TestCheckpoints:
             on_checkpoint=lambda n, est: seen.append(n),
         )
         assert seen == [50, 150, 200]
+
+
+@pytest.mark.skipif(not NUMPY_AVAILABLE, reason="needs numpy")
+class TestWeightUpkeepAcrossTheMirror:
+    def test_interleaved_batches_match_per_element(self):
+        # A dense block passes the mirror gate, so its batches turn the
+        # sample's weight upkeep off and per-element calls in between
+        # fall back to degree_sum; a long sparse tail then dilutes the
+        # sample until the gate drops the mirror and upkeep resumes.
+        rng = random.Random(3)
+        dense = [(u, 1000 + v) for u in range(30) for v in range(30)]
+        rng.shuffle(dense)
+        sparse = [(100 + i, 2000 + i // 2) for i in range(4000)]
+        stream = make_fully_dynamic(dense + sparse, 0.1, random.Random(4))
+
+        reference = Abacus(500, seed=7)
+        for element in stream:
+            reference.process(element)
+
+        estimator = Abacus(500, seed=7)
+        sample = estimator.sampler.sample
+        states = []
+        position = 0
+        while position < len(stream):
+            estimator.process_batch(stream[position : position + 200])
+            position += 200
+            states.append(sample.weights_live)
+            for element in stream[position : position + 15]:
+                estimator.process(element)
+            position += 15
+        # Upkeep went off with the mirror, then came back on.
+        assert False in states
+        assert states[-1] is True
+        for vertex in {x for edge in sample.edges() for x in edge}:
+            neighbors = sample.neighbors(vertex)
+            assert neighbors.weight == sample.degree_sum(neighbors)
+        assert estimator.total_work == reference.total_work
+        assert (
+            open_session(estimator).fingerprint()
+            == open_session(reference).fingerprint()
+        )

@@ -182,6 +182,18 @@ def _queries(sample, n_left, n_right, rng, count):
     return queries
 
 
+def _assert_live_kernel_matches(sample, n_left, n_right, rng, cheapest_side):
+    sampled_hits = 0
+    for u, v in _queries(sample, n_left, n_right, rng, 60):
+        expected = _reference_count(sample, u, v, cheapest_side)
+        got = count_with_sample(sample, u, v, cheapest_side)
+        assert got == expected, (u, v)
+        if sample.contains(u, v) and expected[0] > 0:
+            sampled_hits += 1
+    # The closed-form correction for sampled edges is exercised.
+    assert sampled_hits > 0
+
+
 class TestScalarKernelOracle:
     """The C-level intersection kernel against the literal loop; needs
     no NumPy, so every CI leg pins ``work`` as well as the count."""
@@ -194,15 +206,27 @@ class TestScalarKernelOracle:
         sample = _sample_from_edges(
             bipartite_erdos_renyi(n_left, n_right, 40 + 25 * seed, rng)
         )
-        sampled_hits = 0
-        for u, v in _queries(sample, n_left, n_right, rng, 60):
-            expected = _reference_count(sample, u, v, cheapest_side)
-            got = count_with_sample(sample, u, v, cheapest_side)
-            assert got == expected, (u, v)
-            if sample.contains(u, v) and expected[0] > 0:
-                sampled_hits += 1
-        # The closed-form correction for sampled edges is exercised.
-        assert sampled_hits > 0
+        _assert_live_kernel_matches(
+            sample, n_left, n_right, rng, cheapest_side
+        )
+
+    @pytest.mark.parametrize("cheapest_side", [True, False])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_live_kernel_with_weight_upkeep_off(self, cheapest_side, seed):
+        rng = random.Random(seed)
+        n_left, n_right = 14 + seed, 10 + 2 * seed
+        edges = bipartite_erdos_renyi(n_left, n_right, 60 + 25 * seed, rng)
+        sample = _sample_from_edges(edges[:-20])
+        # The stored weights go stale on these mutations, and the kernel
+        # must not read them.
+        sample.keep_weights(False)
+        for u, v in edges[-20:]:
+            sample.add_edge(u, v)
+        for u, v in edges[:10]:
+            sample.remove_edge(u, v)
+        _assert_live_kernel_matches(
+            sample, n_left, n_right, rng, cheapest_side
+        )
 
     @pytest.mark.parametrize("cheapest_side", [True, False])
     @pytest.mark.parametrize("seed", range(4))

@@ -59,6 +59,18 @@ class TestSampledRegime:
         e2 = local.process_stream(dynamic_stream)
         assert e2 == pytest.approx(e1, rel=1e-12)
 
+    def test_stored_and_summed_side_tests_agree(self, dynamic_stream):
+        # The stored cumulative degrees and degree_sum pick the same
+        # side, so the discovery loop does the same work either way.
+        stored = AbacusLocal(300, seed=9)
+        summed = AbacusLocal(300, seed=9)
+        summed.sampler.sample.keep_weights(False)
+        stored.process_stream(dynamic_stream)
+        summed.process_stream(dynamic_stream)
+        assert stored.total_work == summed.total_work
+        assert stored.estimate == summed.estimate
+        assert stored.local_estimates() == summed.local_estimates()
+
     def test_local_sum_identity_holds_when_sampling(self, dynamic_stream):
         est = AbacusLocal(300, seed=10)
         est.process_stream(dynamic_stream)

@@ -164,6 +164,8 @@ class TestSampleVersions:
             assert para._versioned.delta_count() == 0
             assert para._versioned.num_versions == 0
             assert sample.recorder is None
+        # The serial side test reads the stored cumulative degrees.
+        assert sample.weights_live
 
     def test_thread_pool_records_deltas(self, dynamic_stream):
         with Parabacus(
@@ -173,6 +175,8 @@ class TestSampleVersions:
             assert para._versioned.num_versions == 64
             assert para._versioned.delta_count() > 0
             assert para.sampler.sample.recorder is None
+            # Versions sum their own degrees: no weight upkeep.
+            assert not para.sampler.sample.weights_live
 
 
 class TestBatchMechanics:

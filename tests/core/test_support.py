@@ -67,6 +67,20 @@ class TestExactRegime:
         assert support_sum == pytest.approx(4.0 * est.estimate)
 
 
+class TestSideSelection:
+    def test_stored_and_summed_side_tests_agree(self, dynamic_stream):
+        # The stored cumulative degrees and degree_sum pick the same
+        # side, so the discovery loop does the same work either way.
+        stored = AbacusSupport(300, seed=4)
+        summed = AbacusSupport(300, seed=4)
+        summed.sampler.sample.keep_weights(False)
+        stored.process_stream(dynamic_stream)
+        summed.process_stream(dynamic_stream)
+        assert stored.total_work == summed.total_work
+        assert stored.estimate == summed.estimate
+        assert stored.support_estimates() == summed.support_estimates()
+
+
 class TestWatchSet:
     def test_only_watched_edges_tracked(self):
         est = AbacusSupport(budget=100, watch={("u", "v")}, seed=6)

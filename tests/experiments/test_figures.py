@@ -175,3 +175,6 @@ class TestExtras:
         assert variants["default"]["error"] == pytest.approx(
             variants["no_cheapest_side"]["error"]
         )
+        # Wall time is reported beside work, never asserted on.
+        assert all(v["seconds"] >= 0.0 for v in variants.values())
+        assert "Mean seconds" in result["text"]

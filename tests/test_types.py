@@ -105,6 +105,41 @@ class TestTimedEdge:
         assert undone.inverted() == element
 
 
+class TestRecords:
+    """``from_record`` takes [op, u, v] lists first, then every shape."""
+
+    @pytest.mark.parametrize(
+        "element",
+        [
+            insertion(1, 2),
+            deletion("u", "v"),
+            timed_insertion(1, 2, 0.5),
+            timed_deletion("u", "v", 4.0),
+        ],
+    )
+    def test_round_trip(self, element):
+        record = element.to_record()
+        for shape in (record, tuple(record)):
+            rebuilt = StreamElement.from_record(shape)
+            assert rebuilt == element
+            assert type(rebuilt) is type(element)
+
+    def test_list_and_tuple_records_agree(self):
+        for symbol, op in (("+", Op.INSERT), ("-", Op.DELETE)):
+            from_list = StreamElement.from_record([symbol, 3, 7])
+            from_tuple = StreamElement.from_record((symbol, 3, 7))
+            assert from_list == from_tuple == StreamElement(3, 7, op)
+            assert type(from_list) is StreamElement
+
+    @pytest.mark.parametrize(
+        "record",
+        [["x", 1, 2], ["+", 1], ["+", 1, 2, 3, 4], "+ab", ["+", 1, 2, "t"]],
+    )
+    def test_malformed(self, record):
+        with pytest.raises(ValueError):
+            StreamElement.from_record(record)
+
+
 class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for cls in (

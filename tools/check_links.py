@@ -12,6 +12,12 @@ CHANGES.md) and fails when it references things that do not exist:
   directory is missing (tried relative to the repo root, then src/).
 
 Fenced code blocks are ignored (shell transcripts are not references).
+
+It also scans the Python files under src/ and benchmarks/ for ``*.md``
+names (in docstrings and comments) that resolve nowhere — tried
+relative to the file, the repo root, src/ and docs/ — so code cannot
+cite a document that does not exist.
+
 Run from anywhere: ``python tools/check_links.py``.
 """
 
@@ -27,12 +33,20 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _PATHLIKE = re.compile(r"^[A-Za-z0-9_.\-/]+$")
+_MD_NAME = re.compile(r"[A-Za-z0-9_./\-]*[A-Za-z0-9_\-]\.md\b")
 
 
 def _markdown_files() -> List[pathlib.Path]:
     files = [REPO_ROOT / "README.md", REPO_ROOT / "CHANGES.md"]
     files += sorted((REPO_ROOT / "docs").glob("*.md"))
     return [f for f in files if f.exists()]
+
+
+def _python_files() -> List[pathlib.Path]:
+    files: List[pathlib.Path] = []
+    for top in ("src", "benchmarks"):
+        files += sorted((REPO_ROOT / top).rglob("*.py"))
+    return files
 
 
 def _strip_fenced_blocks(text: str) -> str:
@@ -79,10 +93,30 @@ def check_file(path: pathlib.Path) -> List[Tuple[str, str]]:
     return problems
 
 
+def check_python_file(path: pathlib.Path) -> List[Tuple[str, str]]:
+    """Return ("missing document", name) for ``*.md`` names in one
+    Python file that resolve nowhere."""
+    problems = []
+    for name in _MD_NAME.findall(path.read_text(encoding="utf-8")):
+        if name.startswith("/"):  # an absolute path or a URL's tail
+            continue
+        candidates = (
+            path.parent / name,
+            REPO_ROOT / name,
+            REPO_ROOT / "src" / name,
+            REPO_ROOT / "docs" / name,
+        )
+        if not any(c.exists() for c in candidates):
+            problems.append(("missing document", name))
+    return problems
+
+
 def main() -> int:
     failures = 0
-    for path in _markdown_files():
-        for kind, reference in check_file(path):
+    checks = [(path, check_file) for path in _markdown_files()]
+    checks += [(path, check_python_file) for path in _python_files()]
+    for path, check in checks:
+        for kind, reference in check(path):
             rel = path.relative_to(REPO_ROOT)
             print(f"{rel}: {kind}: {reference}", file=sys.stderr)
             failures += 1
@@ -92,7 +126,7 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    print(f"docs OK ({len(_markdown_files())} files checked)")
+    print(f"docs OK ({len(checks)} files checked)")
     return 0
 
 
