@@ -1,12 +1,12 @@
-"""Dense-community discovery with bitruss / tip decompositions.
+"""Dense-community discovery with the bitruss decomposition.
 
 The paper motivates butterfly counting through k-bitruss computation
 and dense-subgraph discovery (Section I).  This example:
 
 1. plants two dense author-venue communities inside a sparse random
    background,
-2. recovers them *exactly* with the k-bitruss (edge peeling) and k-tip
-   (vertex peeling) decompositions,
+2. recovers them *exactly* with the k-bitruss (edge peeling)
+   decomposition,
 3. shows the *streaming* path: an ``AbacusSupport`` estimator watching
    the graph's edges flags (approximately) the same high-support edges
    one pass over the stream, in bounded memory.
@@ -23,9 +23,7 @@ from repro.core.support import AbacusSupport
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.bitruss import bitruss_decomposition
 from repro.graph.generators import bipartite_erdos_renyi
-from repro.graph.tip_decomposition import tip_decomposition
 from repro.streams.dynamic import stream_from_edges
-from repro.types import Side
 
 
 def build_graph(rng: random.Random):
@@ -67,22 +65,6 @@ def main() -> None:
     print(f"  edges with bitruss number >= 10 : {len(community_edges)}")
     print(f"  of which planted                : {len(correct)}")
     print(f"  planted edges total             : {len(planted)}")
-
-    # ------------------------------------------------------------------
-    # Exact recovery: k-tip (vertex peeling, author side)
-    # ------------------------------------------------------------------
-    tips = tip_decomposition(graph, Side.LEFT)
-    community_authors = {u for u, k in tips.items() if k >= 50}
-    planted_authors = {
-        u for u in graph.left_vertices() if str(u).startswith("c")
-    }
-    print()
-    print("k-tip (author-side vertex peeling):")
-    print(f"  authors with tip number >= 50   : {len(community_authors)}")
-    print(
-        f"  planted authors recovered       : "
-        f"{len(community_authors & planted_authors)}/12"
-    )
 
     # ------------------------------------------------------------------
     # Streaming approximation: per-edge support from a bounded sample

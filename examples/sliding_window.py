@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import random
 
-from repro import open_session
+from repro import insertion, open_session
 from repro.graph.generators import bipartite_erdos_renyi
-from repro.streams.adversarial import butterfly_bomb
 
 WINDOW = 3000
 BUDGET = 1500
@@ -37,9 +36,13 @@ ZSCORE_ALARM = 6.0
 def main() -> None:
     rng = random.Random(11)
     background = bipartite_erdos_renyi(3000, 3000, 12_000, rng)
-    stream, planted = butterfly_bomb(
-        10, 10, background=background, bomb_position=6000, rng=rng
-    )
+    # The bomb: a complete 10x10 biclique whose 100 insertions arrive
+    # back-to-back at element 6,000, C(10, 2)^2 butterflies on its own.
+    bomb = [(f"bomb_l{i}", f"bomb_r{j}") for i in range(10) for j in range(10)]
+    rng.shuffle(bomb)
+    edges = background[:6000] + bomb + background[6000:]
+    stream = [insertion(u, v) for u, v in edges]
+    planted = 45 * 45
     print(
         f"{len(stream):,}-element stream, 10x10 bomb at element 6,000 "
         f"({planted:,} planted butterflies), window W={WINDOW}\n"

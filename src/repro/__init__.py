@@ -5,7 +5,7 @@ Dynamic Bipartite Graph Streams" (ICDE 2024): approximate butterfly
 counting over bipartite edge streams with both insertions and deletions,
 plus every substrate the paper depends on (bipartite graphs, exact
 counting, Random Pairing sampling, AMS sketches, the FLEET and CAS
-insert-only baselines, applications, and the full experiment harness).
+insert-only baselines, and the full experiment harness).
 
 The single public entry point is the session API: describe an estimator
 with a spec, open a session, ingest, observe, snapshot::

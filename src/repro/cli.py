@@ -6,7 +6,7 @@ Subcommands map 1:1 onto the paper's tables/figures plus the extras::
     repro fig3 [--trials N] [--datasets a,b]
     repro fig4 | fig5 | fig6 | fig7 | fig8 | fig9 | fig10
     repro unbiasedness | ablation
-    repro variance | ensemble | anomaly | lineage   # extensions
+    repro variance | ensemble         # extensions
     repro estimators                  # the estimator registry
     repro stream --estimator SPEC     # run any spec through a session
     repro serve --estimator SPEC      # serve estimate queries over TCP
@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
             "ablation",
             "variance",
             "ensemble",
-            "anomaly",
-            "lineage",
             "estimators",
             "stream",
             "serve",
@@ -846,12 +844,6 @@ def run_experiment(
         )["text"]
     if name == "ensemble":
         return extensions.run_ensemble(trials=max(trials * 5, 30))["text"]
-    if name == "anomaly":
-        return extensions.run_anomaly_quality()["text"]
-    if name == "lineage":
-        return extensions.run_triangle_lineage(
-            trials=max(trials * 10, 50)
-        )["text"]
     raise SystemExit(f"unknown experiment: {name}")
 
 
@@ -928,8 +920,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "ablation",
             "variance",
             "ensemble",
-            "anomaly",
-            "lineage",
         ]
     else:
         names = [args.experiment]

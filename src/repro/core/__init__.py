@@ -11,7 +11,6 @@ from repro.core.checkpoint import (
 from repro.core.ensemble import EnsembleEstimator
 from repro.core.exact import ExactStreamingCounter
 from repro.core.lazy import LazyAbacus
-from repro.core.local import AbacusLocal
 from repro.core.parabacus import Parabacus
 from repro.core.support import AbacusSupport
 from repro.core.probabilities import (
@@ -25,7 +24,6 @@ from repro.core.probabilities import (
 
 __all__ = [
     "Abacus",
-    "AbacusLocal",
     "AbacusSupport",
     "EnsembleEstimator",
     "LazyAbacus",

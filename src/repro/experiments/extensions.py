@@ -1,17 +1,11 @@
 """Extension experiments beyond the paper's Table II / Figures 3-10.
 
-Four additional studies round out the evaluation:
+Two additional studies round out the evaluation:
 
 * :func:`run_variance_bound` — empirical variance of ABACUS against the
   Theorem 2 closed-form upper bound, per memory budget.
 * :func:`run_ensemble` — variance reduction from averaging independent
   replicas, in both the extra-memory and shared-memory accountings.
-* :func:`run_anomaly_quality` — the Section I motivation measured:
-  precision/recall/F1 of butterfly-burst detection with ABACUS versus
-  the insert-only baselines as the deletion ratio grows.
-* :func:`run_triangle_lineage` — the Section VII-A lineage measured:
-  ThinkD (count-every-edge) versus TRIEST-FD (count-on-transition) on
-  identical fully dynamic triangle streams.
 
 Like :mod:`repro.experiments.figures`, every function returns a dict
 with a rendered ``text`` report plus the structured numbers, so the
@@ -25,20 +19,11 @@ import random
 from typing import Dict, List, Sequence
 
 from repro.api.registry import EstimatorSpec, build_estimator
-from repro.apps.anomaly_quality import (
-    compare_estimators,
-    planted_anomaly_stream,
-)
 from repro.core.probabilities import variance_upper_bound
 from repro.experiments.report import render_table
 from repro.experiments.runner import ground_truth_final_count
-from repro.graph.generators import bipartite_chung_lu, bipartite_erdos_renyi
+from repro.graph.generators import bipartite_erdos_renyi
 from repro.streams.dynamic import make_fully_dynamic, stream_from_edges
-from repro.triangles.generators import barabasi_albert_graph
-from repro.triangles.graph import UndirectedGraph
-from repro.triangles.exact import count_triangles
-from repro.triangles.thinkd import ThinkD
-from repro.triangles.triest import TriestFD
 
 
 def _estimator(name: str, **params):
@@ -182,134 +167,6 @@ def run_ensemble(
         title=(
             f"Ensemble ablation (r={replicas}, k={budget}, "
             f"truth={truth}, {trials} trials, alpha={alpha})"
-        ),
-    )
-    return {"text": text, "truth": truth, "results": results}
-
-
-# ---------------------------------------------------------------------------
-# Section I motivation: anomaly-detection quality under deletions
-# ---------------------------------------------------------------------------
-def run_anomaly_quality(
-    alphas: Sequence[float] = (0.0, 0.2, 0.3),
-    budget: int = 2000,
-    window: int = 500,
-    bomb_windows: Sequence[int] = (5, 9, 13),
-    bomb_size: tuple = (14, 14),
-    n_edges: int = 8000,
-    seed: int = 40,
-) -> Dict:
-    """Precision/recall/F1 of burst detection per estimator and alpha.
-
-    A sparse organic background with planted butterfly bombs; the same
-    stream is replayed through ABACUS, FLEET, and CAS (plus the exact
-    oracle as a ceiling) and their alerts scored against the planted
-    windows.
-    """
-    background = bipartite_chung_lu(
-        3000, 3000, n_edges, rng=random.Random(seed)
-    )
-    rows: List[tuple] = []
-    results: Dict[float, Dict] = {}
-    for alpha in alphas:
-        stream, truths = planted_anomaly_stream(
-            background,
-            bomb_windows=list(bomb_windows),
-            window=window,
-            bomb_size=bomb_size,
-            alpha=alpha,
-            rng=random.Random(seed + 1),
-        )
-        qualities = compare_estimators(
-            stream,
-            truths,
-            {
-                "Abacus": lambda: _estimator(
-                    "abacus", budget=budget, seed=seed + 2
-                ),
-                "FLEET": lambda: _estimator(
-                    "fleet", budget=budget, seed=seed + 2
-                ),
-                "CAS": lambda: _estimator(
-                    "cas", budget=budget, seed=seed + 2
-                ),
-            },
-            window=window,
-        )
-        results[alpha] = qualities
-        for name, q in qualities.items():
-            rows.append(
-                (f"{alpha:.0%}", name, q.precision, q.recall, q.f1)
-            )
-    text = render_table(
-        ("alpha", "estimator", "precision", "recall", "F1"),
-        rows,
-        title=(
-            f"Anomaly-detection quality (k={budget}, window={window}, "
-            f"{len(bomb_windows)} planted bombs of {bomb_size})"
-        ),
-    )
-    return {"text": text, "results": results}
-
-
-# ---------------------------------------------------------------------------
-# Section VII-A lineage: ThinkD vs TRIEST-FD
-# ---------------------------------------------------------------------------
-def run_triangle_lineage(
-    budget: int = 80,
-    trials: int = 100,
-    alpha: float = 0.2,
-    seed: int = 50,
-) -> Dict:
-    """Eager vs lazy triangle estimation on one fully dynamic stream.
-
-    Reports mean relative error, empirical variance, and total
-    intersection work for ThinkD and TRIEST-FD — the trade ABACUS's
-    count-every-edge design is built on.
-    """
-    edges = barabasi_albert_graph(60, 4, random.Random(seed))
-    stream = make_fully_dynamic(edges, alpha, random.Random(seed + 1))
-    graph = UndirectedGraph()
-    for element in stream:
-        if element.is_insertion:
-            graph.add_edge(element.u, element.v)
-        else:
-            graph.remove_edge(element.u, element.v)
-    truth = count_triangles(graph)
-
-    def measure(factory) -> Dict[str, float]:
-        estimates: List[float] = []
-        work = 0
-        for t in range(trials):
-            estimator = factory(seed + 100 + t)
-            estimates.append(estimator.process_stream(stream))
-            work += estimator.total_work
-        stats = _sample_stats(estimates)
-        return {
-            "mean_error": abs(stats["mean"] - truth) / truth,
-            "variance": stats["variance"],
-            "mean_work": work / trials,
-        }
-
-    results = {
-        "ThinkD": measure(lambda s: ThinkD(budget, seed=s)),
-        "TriestFD": measure(lambda s: TriestFD(budget, seed=s)),
-    }
-    rows = [
-        (
-            name,
-            info["mean_error"],
-            info["variance"],
-            info["mean_work"],
-        )
-        for name, info in results.items()
-    ]
-    text = render_table(
-        ("estimator", "mean rel. error", "variance", "mean work"),
-        rows,
-        title=(
-            f"Triangle lineage: eager vs lazy (k={budget}, "
-            f"truth={truth}, alpha={alpha}, {trials} trials)"
         ),
     )
     return {"text": text, "truth": truth, "results": results}

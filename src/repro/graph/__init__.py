@@ -1,9 +1,9 @@
 """Bipartite graph substrate.
 
 This subpackage provides the in-memory dynamic bipartite graph, exact
-butterfly counting (global, per-edge, and per-vertex), wedge utilities,
-a k-bitruss decomposition built on butterfly support, one-mode
-projections, and synthetic graph generators.
+butterfly counting (global, per-edge, and per-vertex), a k-bitruss
+decomposition built on butterfly support, and synthetic graph
+generators.
 """
 
 from repro.graph.bipartite import BipartiteGraph
@@ -13,24 +13,11 @@ from repro.graph.butterflies import (
     count_butterflies,
     count_butterflies_brute_force,
 )
-from repro.graph.wedges import count_wedges, wedge_counts_per_pair
 from repro.graph.bitruss import (
     bitruss_decomposition,
     butterfly_support,
     k_bitruss,
 )
-from repro.graph.core_decomposition import (
-    ab_core,
-    alpha_beta_core_numbers,
-    butterfly_core_prefilter,
-)
-from repro.graph.tip_decomposition import (
-    butterfly_counts_one_side,
-    k_tip,
-    max_tip_number,
-    tip_decomposition,
-)
-from repro.graph.projection import project
 from repro.graph.generators import (
     bipartite_chung_lu,
     bipartite_configuration_model,
@@ -45,19 +32,9 @@ __all__ = [
     "count_butterflies_brute_force",
     "butterflies_containing_edge",
     "butterfly_counts_per_vertex",
-    "count_wedges",
-    "wedge_counts_per_pair",
     "bitruss_decomposition",
     "butterfly_support",
     "k_bitruss",
-    "ab_core",
-    "alpha_beta_core_numbers",
-    "butterfly_core_prefilter",
-    "tip_decomposition",
-    "k_tip",
-    "max_tip_number",
-    "butterfly_counts_one_side",
-    "project",
     "bipartite_erdos_renyi",
     "bipartite_chung_lu",
     "bipartite_configuration_model",

@@ -10,18 +10,10 @@ from repro.metrics.accuracy import (
 from repro.metrics.replication import lag_summary
 from repro.metrics.tenancy import FairShareSummary, fair_share
 from repro.metrics.throughput import Stopwatch, throughput_eps
-from repro.metrics.timeseries import (
-    TrajectoryPoint,
-    TrajectoryTracker,
-    track_against_oracle,
-)
 from repro.metrics.workload import workload_balance
 
 __all__ = [
     "FairShareSummary",
-    "TrajectoryPoint",
-    "TrajectoryTracker",
-    "track_against_oracle",
     "relative_error",
     "mean",
     "percentile",

@@ -1,42 +1,18 @@
 """Sketching substrate.
 
-The CAS baseline (Li et al., TKDE 2022) combines edge sampling with an
-AMS sketch; this subpackage provides that sketch plus the other compact
-summaries a streaming deployment of the estimators wants:
-
-* :class:`~repro.sketch.ams.AmsSketch` — tug-of-war F2/point sketch
-  (the CAS ingredient).
-* :class:`~repro.sketch.countmin.CountMinSketch` — frequency upper
-  bounds; backs :class:`~repro.sketch.countmin.HeavyHitterTracker` for
-  high-degree-vertex diagnostics.
-* :class:`~repro.sketch.bloom.BloomFilter` /
-  :class:`~repro.sketch.bloom.CountingBloomFilter` — membership guards
-  for sanitising streams that may violate the no-duplicate contract.
-* :class:`~repro.sketch.hyperloglog.HyperLogLog` — distinct counting
-  for one-pass dataset characterisation (|L|, |R|, |E|).
-* :class:`~repro.sketch.dgim.DgimCounter` — DGIM sliding-window event
-  counting; backs :class:`~repro.sketch.dgim.DeletionRateMonitor`
-  (live deletion-ratio estimates).
+* :class:`~repro.sketch.ams.AmsSketch` — tug-of-war F2/point sketch,
+  the ingredient the CAS baseline (Li et al., TKDE 2022) combines with
+  edge sampling.
+* :mod:`~repro.sketch.hashing` — the seeded hash families behind it,
+  and the ``mix64`` finaliser the shard partitioner routes with.
 """
 
 from repro.sketch.ams import AmsSketch
-from repro.sketch.bloom import BloomFilter, CountingBloomFilter
-from repro.sketch.countmin import CountMinSketch, HeavyHitterTracker
-from repro.sketch.dgim import DeletionRateMonitor, DgimCounter
 from repro.sketch.hashing import FourWiseHash, as_int_key, mix64
-from repro.sketch.hyperloglog import HyperLogLog, StreamCardinalityTracker
 
 __all__ = [
     "AmsSketch",
-    "BloomFilter",
-    "CountingBloomFilter",
-    "CountMinSketch",
-    "HeavyHitterTracker",
-    "DgimCounter",
-    "DeletionRateMonitor",
     "FourWiseHash",
-    "HyperLogLog",
-    "StreamCardinalityTracker",
     "as_int_key",
     "mix64",
 ]

@@ -19,10 +19,9 @@ _MASK64 = (1 << 64) - 1
 def mix64(salt: int, key: int) -> int:
     """Salted splitmix64 finalizer: 64 well-mixed bits from (salt, key).
 
-    This is the shared fast mixing primitive of the sketch subpackage
-    (Count-Min, Bloom, HyperLogLog, and the AMS "fast" family).  It is
-    not provably k-universal but its avalanche quality is the de-facto
-    standard for non-cryptographic hashing.
+    The shard partitioner routes vertices with it.  It is not provably
+    k-universal but its avalanche quality is the de-facto standard for
+    non-cryptographic hashing.
     """
     z = (key ^ salt) & _MASK64
     z = (z * 0x9E3779B97F4A7C15) & _MASK64

@@ -19,22 +19,6 @@ from repro.streams.io import (
 )
 from repro.streams.minibatch import iter_minibatches
 from repro.streams.window import sliding_window_stream, windowed_counts
-from repro.streams.profile import StreamProfile, StreamProfiler
-from repro.streams.transform import (
-    SanitizeReport,
-    deletion_tail,
-    inverse,
-    merged,
-    relabeled,
-    sanitized,
-    suspicious_elements,
-)
-from repro.streams.adversarial import (
-    butterfly_bomb,
-    churn_stream,
-    deletion_storm,
-    hub_stream,
-)
 
 __all__ = [
     "EdgeStream",
@@ -47,17 +31,4 @@ __all__ = [
     "iter_minibatches",
     "sliding_window_stream",
     "windowed_counts",
-    "StreamProfile",
-    "StreamProfiler",
-    "SanitizeReport",
-    "sanitized",
-    "suspicious_elements",
-    "relabeled",
-    "merged",
-    "inverse",
-    "deletion_tail",
-    "butterfly_bomb",
-    "churn_stream",
-    "deletion_storm",
-    "hub_stream",
 ]

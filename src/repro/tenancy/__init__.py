@@ -4,8 +4,8 @@ The tenancy layer scales the serving story from "one process, one
 estimator" to a catalog of named tenants — each a first-class durable
 session with its own spec, created/dropped/listed atomically through
 a fsynced ``catalog.json`` — plus shared-stream fan-outs that drive
-many tenants (and sketch/triangle dashboard taps) from a single
-ingest pass over one shared write-ahead log:
+many tenants from a single ingest pass over one shared write-ahead
+log:
 
 * :mod:`repro.tenancy.catalog` — :class:`TenantCatalog`: the atomic
   tenant map, per-tenant durable directories, stream bindings, and
@@ -13,9 +13,6 @@ ingest pass over one shared write-ahead log:
 * :mod:`repro.tenancy.fanout` — :class:`SharedStreamFanout`: one
   shared log, N member estimators, single-pass ingest, per-tenant
   bit-identical checkpoint/recovery.
-* :mod:`repro.tenancy.taps` — volatile dashboard observers
-  (HyperLogLog cardinality, Count-Min heavy hitters, DGIM deletion
-  rate, ThinkD/TRIEST-FD triangles) riding the same pass.
 
 The serving layer (:mod:`repro.serve`) hosts a catalog behind
 tenant-scoped wire operations with fair-share write scheduling; the
@@ -30,26 +27,12 @@ from repro.tenancy.catalog import (
     TenantCatalog,
 )
 from repro.tenancy.fanout import FANOUT_FORMAT, SharedStreamFanout
-from repro.tenancy.taps import (
-    CardinalityTap,
-    DeletionRateTap,
-    HeavyHitterTap,
-    StreamTap,
-    TriangleTap,
-    default_taps,
-)
 
 __all__ = [
     "CATALOG_FILE",
     "CATALOG_FORMAT",
-    "CardinalityTap",
     "DEFAULT_TENANT_QUOTA",
-    "DeletionRateTap",
     "FANOUT_FORMAT",
-    "HeavyHitterTap",
     "SharedStreamFanout",
-    "StreamTap",
     "TenantCatalog",
-    "TriangleTap",
-    "default_taps",
 ]

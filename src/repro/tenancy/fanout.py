@@ -8,8 +8,7 @@ bytes.  A fan-out binds those tenants to one shared
 
 * decoded and materialised **once**,
 * written ahead to **one** WAL (one fsync cadence instead of N),
-* then driven through every member estimator — and every attached
-  :mod:`~repro.tenancy.taps` observer — in a single pass.
+* then driven through every member estimator in a single pass.
 
 Each member stays a plain volatile
 :class:`~repro.api.session.Session` built from the tenant's own spec,
@@ -54,7 +53,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 from repro.api.session import Session, open_session, restore_session
 from repro.errors import StoreError, TenancyError
 from repro.store import DurableStore
-from repro.tenancy.taps import StreamTap, taps_by_name
 from repro.types import StreamElement
 
 __all__ = ["FANOUT_FORMAT", "SharedStreamFanout"]
@@ -107,23 +105,16 @@ class SharedStreamFanout:
         members: tenant name -> estimator spec string.  Required to
             create; on reopen it is checked against the stored map
             (omit to accept the stored one).
-        taps: optional :class:`~repro.tenancy.taps.StreamTap`
-            observers riding the same pass.  Volatile by contract —
-            after recovery they restart at ``taps_since_offset``.
     """
 
     def __init__(
         self,
         directory: Union[str, os.PathLike],
         members: Optional[Mapping[str, str]] = None,
-        *,
-        taps: Iterable[StreamTap] = (),
     ) -> None:
         self._dir = pathlib.Path(directory)
-        self._taps = taps_by_name(taps)
         self._closed = False
         self._poisoned = False
-        self._taps_since = 0
         self._store = DurableStore(self._dir)
         try:
             if not self._store.has_state:
@@ -181,7 +172,6 @@ class SharedStreamFanout:
                 name: open_session(spec)
                 for name, spec in stored.items()
             }
-        self._taps_since = recovered.offset - len(recovered.tail)
         if recovered.tail:
             self._drive(recovered.tail)
         for name, session in self._sessions.items():
@@ -211,12 +201,6 @@ class SharedStreamFanout:
         log."""
         return self._store.offset
 
-    @property
-    def taps_since_offset(self) -> int:
-        """The element offset the (volatile) taps have observed from:
-        0 for a fresh fan-out, the recovery offset after a crash."""
-        return self._taps_since
-
     def session(self, name: str) -> Session:
         """The named member's (volatile) session."""
         session = self._sessions.get(name)
@@ -235,8 +219,7 @@ class SharedStreamFanout:
         }
 
     def stats(self) -> Dict[str, Any]:
-        """Per-tenant metrics plus tap summaries, one consistent
-        read."""
+        """Per-tenant metrics, one consistent read."""
         return {
             "elements": self.elements,
             "members": {
@@ -248,11 +231,6 @@ class SharedStreamFanout:
                 }
                 for name, session in self._sessions.items()
             },
-            "taps": {
-                name: tap.summary()
-                for name, tap in self._taps.items()
-            },
-            "taps_since_offset": self._taps_since,
         }
 
     # ------------------------------------------------------------------
@@ -265,7 +243,7 @@ class SharedStreamFanout:
         """Apply one batch to the shared log and every member.
 
         The batch is materialised once, logged once (write-ahead),
-        then driven through each member estimator and tap.  Returns
+        then driven through each member estimator.  Returns
         :meth:`estimates` after the batch applied.
 
         Raises:
@@ -292,14 +270,11 @@ class SharedStreamFanout:
         return self.estimates()
 
     def _drive(self, batch: List[StreamElement]) -> None:
-        """One pass: every member (and tap) sees the whole batch."""
+        """One pass: every member sees the whole batch."""
         for start in range(0, len(batch), _APPLY_BATCH):
             chunk = batch[start:start + _APPLY_BATCH]
             for session in self._sessions.values():
                 session.ingest(chunk)
-            for tap in self._taps.values():
-                for element in chunk:
-                    tap.observe(element)
 
     def flush(self) -> Dict[str, float]:
         """Flush buffered work in every member (PARABACUS et al.)."""

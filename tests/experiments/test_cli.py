@@ -76,9 +76,9 @@ class TestChartFlag:
 
     def test_extension_experiments_resolve(self):
         report = run_experiment(
-            "lineage", 1, None, 4, ExperimentContext()
+            "ensemble", 1, None, 4, ExperimentContext()
         )
-        assert "ThinkD" in report and "TriestFD" in report
+        assert "Ensemble ablation" in report and "RMSE" in report
 
 
 class TestWindowFlags:

@@ -1,11 +1,6 @@
 """Smoke tests for the extension experiments (small parameters)."""
 
-from repro.experiments.extensions import (
-    run_anomaly_quality,
-    run_ensemble,
-    run_triangle_lineage,
-    run_variance_bound,
-)
+from repro.experiments.extensions import run_ensemble, run_variance_bound
 
 
 class TestRunVarianceBound:
@@ -40,28 +35,3 @@ class TestRunEnsemble:
             info["rmse"] >= 0 for info in result["results"].values()
         )
 
-
-class TestRunAnomalyQuality:
-    def test_structure(self):
-        result = run_anomaly_quality(
-            alphas=(0.2,),
-            budget=1200,
-            n_edges=4000,
-            bomb_windows=(4, 7),
-        )
-        qualities = result["results"][0.2]
-        assert set(qualities) == {"Abacus", "FLEET", "CAS"}
-        for quality in qualities.values():
-            assert 0.0 <= quality.precision <= 1.0
-            assert 0.0 <= quality.recall <= 1.0
-        assert "precision" in result["text"]
-
-
-class TestRunTriangleLineage:
-    def test_structure_and_trade(self):
-        result = run_triangle_lineage(budget=60, trials=40)
-        assert result["truth"] > 0
-        r = result["results"]
-        assert set(r) == {"ThinkD", "TriestFD"}
-        # The core trade: lazy counting does less work.
-        assert r["TriestFD"]["mean_work"] < r["ThinkD"]["mean_work"]

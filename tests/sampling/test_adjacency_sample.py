@@ -224,11 +224,7 @@ class TestStoredWeights:
 
     def test_samples_without_a_side_test_skip_the_upkeep(self):
         from repro.baselines.cas import CoAffiliationSampling
-        from repro.triangles.thinkd import ThinkD
-        from repro.triangles.triest import TriestFD
 
-        assert not TriestFD(50, seed=1).sample.weights_live
-        assert not ThinkD(50, seed=1).sampler.sample.weights_live
         assert not CoAffiliationSampling(50, seed=1)._sample.weights_live
 
     def test_lazy_abacus_sums_instead(self):

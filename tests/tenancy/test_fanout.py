@@ -12,11 +12,8 @@ from repro.api import open_session
 from repro.errors import StoreError, TenancyError
 from repro.tenancy import (
     FANOUT_FORMAT,
-    CardinalityTap,
-    DeletionRateTap,
     SharedStreamFanout,
     TenantCatalog,
-    default_taps,
 )
 from repro.types import deletion, insertion
 
@@ -169,41 +166,6 @@ class TestPoison:
         reopened = SharedStreamFanout(tmp_path / "s")
         assert reopened.elements == len(good)
         assert _fingerprints(reopened) == expected
-        reopened.close()
-
-
-class TestTaps:
-    def test_default_taps_summarise_the_shared_stream(self, tmp_path):
-        stream = _stream(150)
-        fanout = SharedStreamFanout(
-            tmp_path / "s", members=MEMBERS, taps=default_taps()
-        )
-        fanout.ingest(stream)
-        stats = fanout.stats()
-        assert stats["taps_since_offset"] == 0
-        taps = stats["taps"]
-        assert taps["cardinality"]["distinct_edges"] > 0
-        assert 0.0 <= taps["deletion_rate"]["deletion_ratio"] <= 1.0
-        fanout.close()
-
-    def test_taps_survive_recovery_of_the_tail(self, tmp_path):
-        stream = _stream(100)
-        taps = (CardinalityTap(), DeletionRateTap())
-        fanout = SharedStreamFanout(
-            tmp_path / "s", members=MEMBERS, taps=taps
-        )
-        fanout.ingest(stream)
-        fanout.sync()
-        expected = fanout.stats()["taps"]
-        fanout.close()
-        # Fresh tap instances replay whatever the checkpoint did not
-        # cover; with no checkpoint, that is the whole stream.
-        reopened = SharedStreamFanout(
-            tmp_path / "s",
-            taps=(CardinalityTap(), DeletionRateTap()),
-        )
-        assert reopened.taps_since_offset == 0
-        assert reopened.stats()["taps"] == expected
         reopened.close()
 
 

@@ -31,7 +31,6 @@ import repro.store.snapshots
 import repro.store.wal
 import repro.tenancy.catalog
 import repro.tenancy.fanout
-import repro.tenancy.taps
 import repro.types
 import repro.window.engine
 import repro.window.expiry
@@ -57,7 +56,6 @@ MODULES = [
     repro.store.wal,
     repro.tenancy.catalog,
     repro.tenancy.fanout,
-    repro.tenancy.taps,
     repro.types,
     repro.window.engine,
     repro.window.expiry,

@@ -1,9 +1,9 @@
 """End-to-end integration tests spanning multiple subsystems.
 
 Each test drives a realistic multi-module pipeline rather than a single
-unit: file I/O -> estimator -> checkpoint -> resume; generator ->
-windowed stream -> application; KONECT ingest -> dynamic synthesis ->
-accuracy vs oracle.
+unit: file I/O -> estimator -> checkpoint -> resume; KONECT ingest ->
+dynamic synthesis -> accuracy vs oracle; estimate -> shrink the budget
+mid-stream.
 """
 
 import random
@@ -11,14 +11,10 @@ import random
 import pytest
 
 from repro import Abacus, ExactStreamingCounter, Parabacus
-from repro.apps.anomaly import ButterflyBurstDetector
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.graph.generators import bipartite_chung_lu
-from repro.streams.dynamic import make_fully_dynamic, validate_stream
+from repro.streams.dynamic import make_fully_dynamic
 from repro.streams.io import load_konect, read_stream, write_stream
-from repro.streams.stream import EdgeStream
-from repro.streams.window import sliding_window_stream
-from repro.types import deletion, insertion
 
 
 @pytest.fixture(scope="module")
@@ -82,36 +78,6 @@ class TestCheckpointedPipeline:
         assert resumed.estimate == reference.estimate
 
 
-class TestWindowedDetectorPipeline:
-    def test_window_plus_burst_detection(self):
-        """Sliding window + two-sided detector over estimated counts.
-
-        The background is butterfly-poor (uniform random) so the planted
-        8x8 biclique is a clean spike even through the sample noise.
-        """
-        import repro.graph.generators as generators
-
-        rng = random.Random(93)
-        background = generators.bipartite_erdos_renyi(
-            5000, 5000, 6000, rng
-        )
-        clique = [
-            (9_000_000 + i, 9_500_000 + j)
-            for i in range(8)
-            for j in range(8)
-        ]
-        edges = background[:4000] + clique + background[4000:]
-        detector = ButterflyBurstDetector(
-            Abacus(2500, seed=14),
-            window=500,
-            z_threshold=4.0,
-            two_sided=True,
-        )
-        for element in sliding_window_stream(edges, window=3000):
-            detector.process(element)
-        assert detector.alerts, "planted clique missed through the window"
-
-
 class TestParabacusPipeline:
     def test_minibatch_estimates_match_across_persistence(self, workload):
         """PARABACUS over the same stream in two different batch sizes
@@ -127,43 +93,23 @@ class TestParabacusPipeline:
             assert para.estimate == pytest.approx(reference, rel=1e-12)
 
 
-class TestHygienePipeline:
-    """Dirty feed -> sanitise -> profile -> estimate -> adapt."""
+class TestShrinkPipeline:
+    """Estimate -> adapt: shrink the budget halfway through a stream."""
 
-    def test_sanitise_profile_estimate_shrink(self):
+    def test_estimate_then_shrink(self):
         rng = random.Random(77)
         edges = bipartite_chung_lu(300, 120, 3000, rng=rng)
-        base = make_fully_dynamic(edges, 0.2, random.Random(78))
-        # Dirty the stream with duplicates and ghost deletions.
-        elements = list(base)
-        for i in range(40):
-            u, v = edges[rng.randrange(len(edges))]
-            elements.insert(rng.randrange(len(elements)), insertion(u, v))
-            elements.insert(
-                rng.randrange(len(elements)),
-                deletion(f"ghost{i}", "nowhere"),
-            )
-        from repro.streams.profile import StreamProfiler
-        from repro.streams.transform import sanitized
-
-        clean, report = sanitized(EdgeStream(elements))
-        assert report.dropped >= 40
-        validate_stream(clean)
-
-        profile = StreamProfiler(rng=random.Random(79)).observe_stream(
-            clean
-        )
-        assert profile.live_edges == clean.final_num_edges
+        stream = make_fully_dynamic(edges, 0.2, random.Random(78))
 
         estimator = Abacus(budget=800, seed=80)
         oracle = ExactStreamingCounter()
         shrunk = False
-        for index, element in enumerate(clean):
+        for index, element in enumerate(stream):
             estimator.process(element)
             oracle.process(element)
             if (
                 not shrunk
-                and index > len(clean) // 2
+                and index > len(stream) // 2
                 and estimator.can_resize
             ):
                 estimator.shrink_budget(400)

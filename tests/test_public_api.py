@@ -26,7 +26,6 @@ class TestTopLevelExports:
             assert issubclass(cls, ButterflyEstimator)
 
     def test_subpackage_alls_resolve(self):
-        import repro.apps as apps
         import repro.baselines as baselines
         import repro.core as core
         import repro.graph as graph
@@ -44,7 +43,6 @@ class TestTopLevelExports:
             sampling,
             sketch,
             baselines,
-            apps,
             metrics,
             store,
             serve,
