@@ -1,13 +1,17 @@
 """Unit tests for the line-delimited JSON wire protocol."""
 
+import base64
+
 import pytest
 
 from repro.errors import ServeError
 from repro.serve.protocol import (
     decode_message,
+    elements_from_request,
     elements_to_records,
     encode_message,
     error_response,
+    payload_fields,
     records_to_elements,
     result_response,
 )
@@ -68,6 +72,58 @@ class TestElementRecords:
             records_to_elements([["+", "u", "v", None]])
         with pytest.raises(ServeError, match="timestamp"):
             records_to_elements([["+", "u", "v", "soon"]])
+
+
+class TestPackedBatches:
+    ELEMENTS = [insertion("alice", "matrix"), deletion(3, 7)]
+
+    def test_round_trip_through_a_request(self):
+        request = {"op": "ingest", **payload_fields(self.ELEMENTS)}
+        assert elements_from_request(request) == self.ELEMENTS
+
+    def test_a_request_without_payload_reads_its_records(self):
+        request = {"elements": elements_to_records(self.ELEMENTS)}
+        assert elements_from_request(request) == self.ELEMENTS
+
+    def test_both_encodings_in_one_request_are_refused(self):
+        request = {
+            "elements": elements_to_records(self.ELEMENTS),
+            **payload_fields(self.ELEMENTS),
+        }
+        with pytest.raises(ServeError, match="exactly one"):
+            elements_from_request(request)
+
+    @pytest.mark.parametrize("codec_id", (None, 1, 3, "2"))
+    def test_an_unsupported_codec_is_refused(self, codec_id):
+        fields = payload_fields(self.ELEMENTS)
+        request = {"codec": codec_id, "payload": fields["payload"]}
+        with pytest.raises(ServeError, match="unsupported batch codec"):
+            elements_from_request(request)
+
+    @pytest.mark.parametrize("payload", (None, 42, b"AAAA", ["AAAA"]))
+    def test_a_payload_that_is_not_a_string_is_refused(self, payload):
+        with pytest.raises(ServeError, match="base64 string"):
+            elements_from_request({"codec": 2, "payload": payload})
+
+    @pytest.mark.parametrize("payload", ("not base64!", "AAA", "A==A"))
+    def test_a_payload_that_is_not_base64_is_refused(self, payload):
+        with pytest.raises(ServeError, match="not valid base64"):
+            elements_from_request({"codec": 2, "payload": payload})
+
+    @pytest.mark.parametrize(
+        "mangle",
+        (
+            pytest.param(lambda raw: b"", id="empty"),
+            pytest.param(lambda raw: raw[:-3], id="truncated"),
+            pytest.param(lambda raw: b"\xff" * len(raw), id="garbage"),
+        ),
+    )
+    def test_a_payload_that_fails_to_decode_is_refused(self, mangle):
+        fields = payload_fields(self.ELEMENTS)
+        raw = mangle(base64.b64decode(fields["payload"]))
+        payload = base64.b64encode(raw).decode("ascii")
+        with pytest.raises(ServeError, match="failed to decode"):
+            elements_from_request({"codec": 2, "payload": payload})
 
 
 class TestResponses:

@@ -6,10 +6,13 @@ bit-identical to the same estimator fed the same elements standalone
 — and recovery replays the one log through all members.
 """
 
+import json
+
 import pytest
 
 from repro.api import open_session
 from repro.errors import StoreError, TenancyError
+from repro.store.durable import DurableStore
 from repro.tenancy import (
     FANOUT_FORMAT,
     SharedStreamFanout,
@@ -78,6 +81,7 @@ class TestIdentity:
         estimates = fanout.estimates()
         assert set(estimates) == set(MEMBERS)
         stats = fanout.stats()
+        assert set(stats) == {"elements", "members"}
         assert stats["elements"] == fanout.elements
         for name in MEMBERS:
             member = stats["members"][name]
@@ -138,6 +142,43 @@ class TestRecovery:
         with pytest.raises((TenancyError, StoreError)):
             SharedStreamFanout(tmp_path / "s", members=different)
 
+    def test_a_fresh_directory_needs_a_member_map(self, tmp_path):
+        with pytest.raises(TenancyError, match="member map"):
+            SharedStreamFanout(tmp_path / "s")
+        # The refusal released the directory: creating it still works.
+        fanout = SharedStreamFanout(tmp_path / "s", members=MEMBERS)
+        assert fanout.members == dict(sorted(MEMBERS.items()))
+        fanout.close()
+
+    def test_a_single_session_directory_is_not_a_fanout(self, tmp_path):
+        store = DurableStore(tmp_path / "s")
+        store.initialize("abacus:budget=64,seed=11")
+        store.close()
+        with pytest.raises(StoreError, match="unreadable member map"):
+            SharedStreamFanout(tmp_path / "s")
+
+    def test_a_member_map_of_another_format_is_refused(self, tmp_path):
+        store = DurableStore(tmp_path / "s")
+        store.initialize(
+            json.dumps({"format": FANOUT_FORMAT + 1, "fanout": MEMBERS})
+        )
+        store.close()
+        with pytest.raises(StoreError, match="unsupported fan-out format"):
+            SharedStreamFanout(tmp_path / "s")
+
+    def test_a_checkpoint_for_other_members_is_refused(self, tmp_path):
+        fanout = SharedStreamFanout(tmp_path / "s", members=MEMBERS)
+        fanout.ingest(_stream(20))
+        offset = fanout.elements
+        fanout.close()
+        store = DurableStore(tmp_path / "s")
+        store.recover()
+        envelope = {"format": FANOUT_FORMAT, "tenants": {"mallory": {}}}
+        store.checkpoint(envelope, offset)
+        store.close()
+        with pytest.raises(StoreError, match="does not match"):
+            SharedStreamFanout(tmp_path / "s")
+
     def test_format_constant_is_pinned(self):
         # Recovery refuses envelopes from a future format; the pin is
         # part of the on-disk contract.
@@ -177,6 +218,48 @@ class TestLifecycle:
         fanout.close()
         with pytest.raises(TenancyError):
             fanout.ingest([insertion("u", "v")])
+
+    def test_unknown_member_lookup_names_the_members(self, tmp_path):
+        fanout = SharedStreamFanout(tmp_path / "s", members=MEMBERS)
+        with pytest.raises(TenancyError, match="alice, bob, carol"):
+            fanout.session("mallory")
+        fanout.close()
+
+    def test_a_single_element_ingests_as_a_batch_of_one(self, tmp_path):
+        fanout = SharedStreamFanout(tmp_path / "s", members=MEMBERS)
+        for element in _stream(40):
+            fanout.ingest(element)
+        batched = SharedStreamFanout(tmp_path / "t", members=MEMBERS)
+        batched.ingest(_stream(40))
+        assert fanout.elements == batched.elements
+        assert _fingerprints(fanout) == _fingerprints(batched)
+        fanout.close()
+        batched.close()
+
+    def test_flush_applies_buffered_mini_batches(self, tmp_path):
+        members = {"para": "parabacus:budget=64,seed=3,batch_size=50"}
+        fanout = SharedStreamFanout(tmp_path / "s", members=members)
+        # K_{4,4}: 16 elements, under one batch, holding 36 butterflies.
+        biclique = [
+            insertion(f"u{i}", f"v{j}") for i in range(4) for j in range(4)
+        ]
+        fanout.ingest(biclique)
+        assert fanout.estimates() == {"para": 0.0}
+        assert fanout.flush() == {"para": 36.0}
+        fanout.close()
+        with pytest.raises(TenancyError, match="closed"):
+            fanout.flush()
+
+    def test_the_context_manager_closes_once(self, tmp_path):
+        with SharedStreamFanout(tmp_path / "s", members=MEMBERS) as fanout:
+            fanout.ingest(_stream(10))
+            assert not fanout.closed
+        assert fanout.closed
+        fanout.close()
+        reopened = SharedStreamFanout(tmp_path / "s")
+        assert reopened.directory == tmp_path / "s"
+        assert reopened.elements == len(_stream(10))
+        reopened.close()
 
     def test_catalog_bound_stream_round_trip(self, tmp_path):
         stream = _stream(120)
